@@ -680,6 +680,8 @@ def cmd_doctor(args) -> int:
                   f"(informational)")
         for action in report.repaired:
             print(f"  repaired {action['run_id']}: {action['action']}")
+        for entry in report.legacy_layout:
+            print(f"  legacy layout: {entry['detail']} (informational)")
         if not report.healthy and not args.repair:
             print("run with --repair to roll back partial ingests and "
                   "quarantine checksum failures")

@@ -12,7 +12,8 @@ module walks those signals:
   already quarantined by the ingest pipeline, and — when requested —
   re-serialization checksum verification against the recorded spool
   hash (the JSONL dump is byte-stable, so a mismatch means the stored
-  graph drifted from what was ingested);
+  graph drifted from what was ingested), and files whose provenance
+  tables still use the pre-clustered rowid layout (informational);
 * :func:`repair` — roll back partials and quarantine checksum-failed
   runs.  Repair never deletes committed data: a stale sentinel is
   dropped (SQLite's transaction atomicity guarantees whatever *is*
@@ -31,6 +32,13 @@ from ..errors import ShardUnavailableError, StoreError
 from ..graph.provgraph import ProvenanceGraph
 from ..graph.serialize import dump_graph
 from .base import GraphStore
+
+#: Detail of the informational ``legacy-layout`` diagnosis.
+_LEGACY_LAYOUT_DETAIL = (
+    "rowid tables ({tables}) predate the clustered WITHOUT ROWID layout: "
+    "answers stay correct but lookups are slower; export each run to a "
+    "spool and re-ingest it (repro ingest --spool) into a new store file "
+    "to get the clustered layout")
 
 
 def graph_checksum(graph: ProvenanceGraph) -> str:
@@ -58,6 +66,9 @@ class DoctorReport:
         self.degraded: List[dict] = []
         #: Actions :func:`repair` took (empty until repair runs).
         self.repaired: List[dict] = []
+        #: ``[{"shard", "path", "tables", "detail"}]`` files still in
+        #: the rowid layout (informational, not counted in problems).
+        self.legacy_layout: List[dict] = []
 
     @property
     def unhealthy_shards(self) -> List[dict]:
@@ -119,6 +130,9 @@ class DoctorReport:
         for entry in self.repaired:
             add("info", "repaired", str(entry["action"]),
                 run_id=entry["run_id"])
+        for entry in self.legacy_layout:
+            add("info", "legacy-layout", entry["detail"],
+                shard=entry["shard"])
         return records
 
     def to_dict(self) -> dict:
@@ -133,6 +147,7 @@ class DoctorReport:
             "unverifiable": self.unverifiable,
             "degraded": self.degraded,
             "repaired": self.repaired,
+            "legacy_layout": self.legacy_layout,
         }
 
     def __repr__(self) -> str:
@@ -162,6 +177,20 @@ def diagnose(store: GraphStore, verify_checksums: bool = True,
             "shard": None, "path": path, "available": not problems
             or not any("cannot open" in problem for problem in problems),
             "integrity": problems}] if path is not None else None)
+
+    shards = getattr(store, "shards", None)
+    for index, child in enumerate(shards or [store]):
+        rowid_tables = getattr(child, "rowid_tables", None)
+        try:
+            tables = rowid_tables() if callable(rowid_tables) else []
+        except (StoreError, sqlite3.DatabaseError):
+            tables = []  # an unreachable shard shows up in health above
+        if tables:
+            report.legacy_layout.append({
+                "shard": index if shards else None,
+                "path": getattr(child, "path", None), "tables": tables,
+                "detail": _LEGACY_LAYOUT_DETAIL.format(
+                    tables=", ".join(tables))})
 
     # Stale ingest sentinels → partial runs.  A sentinel is cleared in
     # the same transaction as the data commit, so one still present

@@ -9,8 +9,8 @@ before answering anything.  Following the D4M line of work on pushing
 array-style graph encodings *into* the database engine, this module
 materializes a **pre/post-order interval + level encoding** of each
 run's DAG at ingest so ancestors / descendants / subgraph / deletion
-propagation become indexed range scans answered entirely inside
-SQLite — no graph rebuild, no Python traversal over the full run.
+propagation become index lookups answered entirely inside SQLite — no
+graph rebuild, no Python traversal over the full run.
 
 Encoding (Agrawal-Borgida-Jagadish interval labeling, DAG variant):
 
@@ -21,8 +21,11 @@ Encoding (Agrawal-Borgida-Jagadish interval labeling, DAG variant):
   computed bottom-up (increasing post order) by merging each node's
   singleton ``[post, post]`` with its successors' interval sets;
 * ``m`` is a descendant of ``n`` iff ``post(m)`` falls inside one of
-  ``n``'s intervals — a stabbing query in the ancestor direction, a
-  range scan in the descendant direction;
+  ``n``'s intervals, so descendants are a range scan per interval.
+  Ancestors do not use the labels: stabbing ``lo <= post(m)`` reads a
+  share of the whole run, so they are a recursive walk up the
+  target-keyed ``edges`` primary key instead, whose cost follows the
+  size of the answer (output-sensitive);
 * ``level`` is the node's minimum distance from a root (depth), kept
   for level-bounded queries and as an encode-order fingerprint.
 
@@ -200,8 +203,8 @@ class PushdownUnavailable(StoreError):
 
 
 class PushdownView:
-    """Answers Section 4/5.1 queries as SQL range scans over the
-    ``node_intervals`` table of one run.
+    """Answers Section 4/5.1 queries as SQL index lookups over one
+    run's ``node_intervals`` and ``edges`` tables.
 
     The view is stateless — every query re-checks the run's
     ``interval_state`` (one indexed point read) and triggers a lazy
@@ -240,13 +243,9 @@ class PushdownView:
             (self.run_id, node_id))
         return rows[0][0] if rows else None
 
-    def _require(self, node_id: int) -> int:
-        if not isinstance(node_id, int):
+    def _require(self, node_id: int) -> None:
+        if not isinstance(node_id, int) or self._post_of(node_id) is None:
             raise UnknownNodeError(node_id)
-        post = self._post_of(node_id)
-        if post is None:
-            raise UnknownNodeError(node_id)
-        return post
 
     def _step(self, prof, name: str, started: float, **counters) -> None:
         if prof is not None:
@@ -264,10 +263,11 @@ class PushdownView:
         """Distinct descendants of any of ``node_ids`` (exclusive of
         the sources themselves unless reached through another).
 
-        Driven as one indexed range scan per merged ``[lo, hi]``
-        interval rather than a self-JOIN: SQLite's planner refuses the
-        ``(run_id, post)`` index for a join whose bounds come from the
-        outer row, degrading to a full per-row scan of the run.
+        The spans come from primary-key lookups, then one indexed
+        range scan per merged ``[lo, hi]`` interval rather than a
+        self-JOIN: SQLite's planner refuses the ``(run_id, post)`` index
+        for a join whose bounds come from the outer row, degrading to a
+        full per-row scan of the run.
         """
         spans: List[Tuple[int, int]] = []
         for chunk in _chunks(list(node_ids)):
@@ -292,6 +292,18 @@ class PushdownView:
             previous_hi = hi
         return found
 
+    def _ancestor_rows(self, node_id: int) -> Set[int]:
+        """Distinct ancestors of ``node_id``: one recursive walk up the
+        target-keyed ``edges`` primary key, reading only the edges of
+        the ancestor cone."""
+        rows = self._execute(
+            "WITH RECURSIVE up(n) AS ("
+            "SELECT source FROM edges WHERE run_id = ?1 AND target = ?2 "
+            "UNION SELECT e.source FROM edges e JOIN up "
+            "ON e.run_id = ?1 AND e.target = up.n) "
+            "SELECT n FROM up WHERE n <> ?2", (self.run_id, node_id))
+        return {row[0] for row in rows}
+
     def descendants(self, node_id: int) -> Set[int]:
         self._fire()
         prof = _profile.active()
@@ -309,12 +321,8 @@ class PushdownView:
         prof = _profile.active()
         started = time.perf_counter()
         self._fresh()
-        post = self._require(node_id)
-        rows = self._execute(
-            "SELECT DISTINCT node_id FROM node_intervals "
-            "WHERE run_id = ? AND lo <= ? AND hi >= ? AND node_id <> ?",
-            (self.run_id, post, post, node_id))
-        reached = {row[0] for row in rows}
+        self._require(node_id)
+        reached = self._ancestor_rows(node_id)
         self._step(prof, "pushdown.ancestors", started,
                    nodes_visited=len(reached))
         return reached
@@ -349,14 +357,10 @@ class PushdownView:
         prof = _profile.active()
         started = time.perf_counter()
         self._fresh()
-        post = self._require(node_id)
+        self._require(node_id)
         descendants = self._descendant_rows((node_id,))
         descendants.discard(node_id)
-        rows = self._execute(
-            "SELECT DISTINCT node_id FROM node_intervals "
-            "WHERE run_id = ? AND lo <= ? AND hi >= ? AND node_id <> ?",
-            (self.run_id, post, post, node_id))
-        ancestors = {row[0] for row in rows}
+        ancestors = self._ancestor_rows(node_id)
         member = {node_id} | ancestors | descendants
         siblings: Set[int] = set()
         for chunk in _chunks(sorted(descendants)):
@@ -376,7 +380,8 @@ class PushdownView:
                      blackbox_multiplicative: bool = False) -> Set[int]:
         """The Definition 4.2 removal set, computed over the seeds'
         descendant cone only (fetched by range scan) — the counter
-        BFS then runs on that induced slice, never the full graph.
+        BFS then runs on the edges entering that cone, never the full
+        graph.
 
         Mirrors :func:`repro.queries.deletion.deletion_set` exactly,
         including parallel-edge multiplicity (each stored edge slot
@@ -390,28 +395,24 @@ class PushdownView:
         for seed in seeds:
             self._require(seed)
         # Every node the deletion could touch lies in the seeds'
-        # descendant cone; successors of cone members are cone
-        # members, so the induced adjacency below is closed.
+        # descendant cone, and every edge leaving a cone member enters
+        # the cone — so one target-keyed scan of the cone's incoming
+        # edges yields both the in-degrees and the successor lists.
         candidates = self._descendant_rows(seeds)
         candidates.update(seeds)
-        ordered = sorted(candidates)
         in_degree: Dict[int, int] = {}
         succs: Dict[int, List[int]] = {}
         joint: Dict[int, bool] = {}
         joint_kinds = {kind.value for kind in MULTIPLICATIVE_KINDS}
         if blackbox_multiplicative:
             joint_kinds.add(NodeKind.BLACKBOX.value)
-        for chunk in _chunks(ordered):
+        for chunk in _chunks(sorted(candidates)):
             marks = ",".join("?" * len(chunk))
-            for target, count in self._execute(
-                    "SELECT target, COUNT(*) FROM edges "
-                    f"WHERE run_id = ? AND target IN ({marks}) "
-                    "GROUP BY target", (self.run_id, *chunk)):
-                in_degree[target] = count
-            for source, target in self._execute(
-                    "SELECT source, target FROM edges "
-                    f"WHERE run_id = ? AND source IN ({marks})",
+            for target, source in self._execute(
+                    "SELECT target, source FROM edges "
+                    f"WHERE run_id = ? AND target IN ({marks})",
                     (self.run_id, *chunk)):
+                in_degree[target] = in_degree.get(target, 0) + 1
                 succs.setdefault(source, []).append(target)
             for node, kind in self._execute(
                     "SELECT node_id, kind FROM nodes "

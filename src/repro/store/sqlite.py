@@ -23,6 +23,12 @@ Schema (all tables keyed by ``run_id``):
   lazily after appends (``runs.interval_state`` tracks freshness:
   ``ready`` / ``stale`` / ``fallback``).
 
+``nodes``, ``edges``, ``invocations`` and ``node_intervals`` are
+``WITHOUT ROWID`` tables: each primary key is the table's own b-tree,
+so a point lookup is one search and no second key index is stored.
+Files created before that keep their rowid layout and still answer
+correctly (``repro doctor`` reports them as ``legacy-layout``).
+
 Incremental append exploits how the tracker grows a graph: node and
 invocation ids are monotonic and operand lists only ever extend, so
 an append writes nodes above the stored high-water mark, the tail of
@@ -85,14 +91,14 @@ CREATE TABLE IF NOT EXISTS nodes (
     invocation INTEGER,
     value      TEXT,
     PRIMARY KEY (run_id, node_id)
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS edges (
     run_id  TEXT NOT NULL,
     target  INTEGER NOT NULL,
     seq     INTEGER NOT NULL,
     source  INTEGER NOT NULL,
     PRIMARY KEY (run_id, target, seq)
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS invocations (
     run_id        TEXT NOT NULL,
     invocation_id INTEGER NOT NULL,
@@ -102,7 +108,7 @@ CREATE TABLE IF NOT EXISTS invocations (
     outputs       TEXT NOT NULL,
     state         TEXT NOT NULL,
     PRIMARY KEY (run_id, invocation_id)
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS pending_ingests (
     run_id     TEXT PRIMARY KEY,
     started_at REAL NOT NULL
@@ -115,11 +121,10 @@ CREATE TABLE IF NOT EXISTS node_intervals (
     hi      INTEGER NOT NULL,
     level   INTEGER NOT NULL,
     PRIMARY KEY (run_id, node_id, lo)
-);
+) WITHOUT ROWID;
 CREATE INDEX IF NOT EXISTS node_intervals_post
     ON node_intervals (run_id, post, node_id);
-CREATE INDEX IF NOT EXISTS node_intervals_span
-    ON node_intervals (run_id, lo, hi, node_id);
+DROP INDEX IF EXISTS node_intervals_span;
 """
 
 
@@ -761,6 +766,18 @@ class SQLiteStore(GraphStore):
             return [str(error)]
         problems = [row[0] for row in rows if row[0] != "ok"]
         return problems
+
+    def rowid_tables(self) -> List[str]:
+        """Provenance tables a pre-``WITHOUT ROWID`` writer created:
+        they still answer correctly, but every lookup goes through a
+        second b-tree (``repro doctor`` names them)."""
+        with self._read_lock():
+            rows = self._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' AND "
+                "name IN ('nodes', 'edges', 'invocations', 'node_intervals')"
+                " AND sql NOT LIKE '%WITHOUT ROWID%' ORDER BY name"
+            ).fetchall()
+        return [row[0] for row in rows]
 
     def checkpoint(self, mode: str = "TRUNCATE") -> None:
         """Force a WAL checkpoint (doctor runs one before scanning so

@@ -3,9 +3,12 @@ re-encode lifecycle, EXPLAIN attribution, and the store/catalog
 correctness satellites that shipped with it."""
 
 import io
+import re
+import sqlite3
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import UnknownNodeError, UnknownRunError
 from repro.graph import GraphBuilder
 from repro.graph.provgraph import ProvenanceGraph
@@ -20,11 +23,13 @@ from repro.store import (
     SQLiteStore,
     open_store,
 )
+from repro.store.doctor import diagnose
 from repro.store.pushdown import (
     INTERVALS_FALLBACK,
     INTERVALS_READY,
     INTERVALS_STALE,
     PushdownUnavailable,
+    PushdownView,
     encode_intervals,
     interval_budget,
     pushdown_enabled,
@@ -281,6 +286,64 @@ class TestViewParity:
 
 
 # ----------------------------------------------------------------------
+# Plan shape: every statement is an index lookup sized by its answer
+# ----------------------------------------------------------------------
+#: A SEARCH keyed past ``run_id``: a point or prefix on ``node_id`` /
+#: ``target``, or a ``post`` range.
+_KEYED = re.compile(r"^SEARCH \w+ USING .*\(run_id=\? AND "
+                    r"(node_id=\?|target=\?|post>\?)")
+
+
+def _unkeyed_steps(store, sql, params):
+    """EXPLAIN QUERY PLAN lines that read a table without a key past
+    ``run_id`` (the recursive CTE's own work queue, ``SCAN up``, is not
+    a table)."""
+    plan = [row[-1] for row in store._conn.execute(
+        "EXPLAIN QUERY PLAN " + sql, params)]
+    return [line for line in plan
+            if line.startswith(("SCAN", "SEARCH")) and line != "SCAN up"
+            and not _KEYED.match(line)]
+
+
+class TestPlanShape:
+    @pytest.fixture(scope="class")
+    def served(self, dealership_execution):
+        graph = dealership_execution[0]
+        store = SQLiteStore()
+        store.put_graph("r", graph)
+        yield store, graph
+        store.close()
+
+    @pytest.mark.parametrize("verb", ["has_node", "ancestors", "descendants",
+                                      "reachable", "subgraph", "deletion_set"])
+    def test_every_statement_is_keyed(self, served, verb, monkeypatch):
+        store, graph = served
+        issued = []
+        execute = PushdownView._execute
+
+        def recording(view, sql, params):
+            issued.append((sql, params))
+            return execute(view, sql, params)
+
+        monkeypatch.setattr(PushdownView, "_execute", recording)
+        view = store.pushdown("r")
+        node = max(graph.node_ids(), key=lambda n: len(graph.succs(n)))
+        if verb == "reachable":
+            view.reachable(node, max(graph.node_ids()))
+        elif verb == "deletion_set":
+            view.deletion_set([node])
+        else:
+            getattr(view, verb)(node)
+        assert issued
+        unkeyed = {}
+        for sql, params in issued:
+            steps = _unkeyed_steps(store, sql, params)
+            if steps:
+                unkeyed[sql.split(" IN (")[0]] = steps
+        assert not unkeyed
+
+
+# ----------------------------------------------------------------------
 # Service wiring + EXPLAIN attribution
 # ----------------------------------------------------------------------
 class TestServiceTierSelection:
@@ -427,3 +490,138 @@ class TestDeterminism:
         lazy = store._conn.execute(query, ("r",)).fetchall()
         assert eager and eager == lazy
         store.close()
+
+
+# ----------------------------------------------------------------------
+# Files written before the clustered (WITHOUT ROWID) layout
+# ----------------------------------------------------------------------
+#: The provenance DDL as it stood before the clustered layout: rowid
+#: tables, and the ``node_intervals_span`` index ancestors used to stab.
+_ROWID_DDL = """
+CREATE TABLE runs (
+    run_id TEXT PRIMARY KEY, created_at REAL NOT NULL,
+    updated_at REAL NOT NULL, source TEXT, node_count INTEGER NOT NULL,
+    edge_count INTEGER NOT NULL, invocation_count INTEGER NOT NULL,
+    next_node_id INTEGER NOT NULL, next_invocation_id INTEGER NOT NULL,
+    meta TEXT, interval_state TEXT);
+CREATE TABLE nodes (
+    run_id TEXT NOT NULL, node_id INTEGER NOT NULL, kind TEXT NOT NULL,
+    label TEXT NOT NULL, ntype TEXT NOT NULL, module TEXT,
+    invocation INTEGER, value TEXT, PRIMARY KEY (run_id, node_id));
+CREATE TABLE edges (
+    run_id TEXT NOT NULL, target INTEGER NOT NULL, seq INTEGER NOT NULL,
+    source INTEGER NOT NULL, PRIMARY KEY (run_id, target, seq));
+CREATE TABLE invocations (
+    run_id TEXT NOT NULL, invocation_id INTEGER NOT NULL,
+    module TEXT NOT NULL, module_node INTEGER NOT NULL,
+    inputs TEXT NOT NULL, outputs TEXT NOT NULL, state TEXT NOT NULL,
+    PRIMARY KEY (run_id, invocation_id));
+CREATE TABLE pending_ingests (
+    run_id TEXT PRIMARY KEY, started_at REAL NOT NULL);
+CREATE TABLE node_intervals (
+    run_id TEXT NOT NULL, node_id INTEGER NOT NULL, post INTEGER NOT NULL,
+    lo INTEGER NOT NULL, hi INTEGER NOT NULL, level INTEGER NOT NULL,
+    PRIMARY KEY (run_id, node_id, lo));
+CREATE INDEX node_intervals_post ON node_intervals (run_id, post, node_id);
+CREATE INDEX node_intervals_span ON node_intervals (run_id, lo, hi, node_id);
+"""
+
+
+def rowid_store_file(path, graph):
+    """A store file in the rowid layout holding ``graph`` as run "r":
+    the rows are put by the current writer, then copied verbatim."""
+    source = f"{path}.src"
+    with SQLiteStore(source) as store:
+        store.put_graph("r", graph)
+    conn = sqlite3.connect(path)
+    conn.executescript(_ROWID_DDL)
+    conn.execute("ATTACH DATABASE ? AS src", (source,))
+    for table in ("runs", "nodes", "edges", "invocations", "node_intervals"):
+        conn.execute(f"INSERT INTO main.{table} SELECT * FROM src.{table}")
+    conn.commit()
+    conn.close()
+    return path
+
+
+def index_names(store):
+    return {row[0] for row in store._conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'index'")}
+
+
+class TestLegacyLayout:
+    def test_verbs_match_csr(self, tmp_path, dealership_execution):
+        graph = dealership_execution[0]
+        with SQLiteStore(rowid_store_file(tmp_path / "old.db", graph)) \
+                as store:
+            view = store.pushdown("r")
+            snapshot = CSRSnapshot(graph)
+            ids = list(graph.node_ids())
+            for node_id in ids:
+                assert view.ancestors(node_id) == snapshot.ancestors(node_id)
+                assert view.descendants(node_id) == \
+                    snapshot.descendants(node_id)
+            for node_id in ids[::17]:
+                pushed, kernel = view.subgraph(node_id), \
+                    snapshot.subgraph(node_id)
+                assert (pushed.ancestors, pushed.descendants,
+                        pushed.siblings) == (kernel.ancestors,
+                                             kernel.descendants,
+                                             kernel.siblings)
+                assert view.deletion_set([node_id]) == \
+                    deletion_set(graph, [node_id])
+            for source, target in zip(ids[::13], ids[7::13]):
+                assert view.reachable(source, target) == \
+                    snapshot.reachable(source, target)
+
+    def test_append_then_query_reencodes(self, tmp_path):
+        path = rowid_store_file(tmp_path / "old.db", module_graph(fanout=2))
+        with SQLiteStore(path) as store:
+            store.append_graph("r", module_graph(fanout=5))
+            assert store.interval_state("r") == INTERVALS_STALE
+            view = store.pushdown("r")
+            assert store.interval_state("r") == INTERVALS_READY
+            loaded = store.load_graph("r")
+            snapshot = CSRSnapshot(loaded)
+            for node_id in loaded.node_ids():
+                assert view.descendants(node_id) == \
+                    snapshot.descendants(node_id)
+                assert view.ancestors(node_id) == snapshot.ancestors(node_id)
+
+    def test_span_index_dropped_layout_kept(self, tmp_path):
+        path = rowid_store_file(tmp_path / "old.db", module_graph())
+        conn = sqlite3.connect(path)
+        assert "node_intervals_span" in {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'")}
+        conn.close()
+        with SQLiteStore(path) as store:
+            assert "node_intervals_span" not in index_names(store)
+            assert "node_intervals_post" in index_names(store)
+            # No migration: the tables keep their rowid layout.
+            assert store.rowid_tables() == ["edges", "invocations",
+                                            "node_intervals", "nodes"]
+
+    def test_new_file_is_clustered(self, tmp_path):
+        with SQLiteStore(tmp_path / "new.db") as store:
+            store.put_graph("r", module_graph())
+            assert store.rowid_tables() == []
+            assert not any(name.startswith("sqlite_autoindex_")
+                           and name != "sqlite_autoindex_runs_1"
+                           and name != "sqlite_autoindex_pending_ingests_1"
+                           for name in index_names(store))
+
+    def test_doctor_names_legacy_layout(self, tmp_path, capsys):
+        path = rowid_store_file(tmp_path / "old.db", module_graph())
+        with SQLiteStore(path) as store:
+            report = diagnose(store)
+        assert report.healthy
+        legacy = [record for record in report.diagnoses()
+                  if record["kind"] == "legacy-layout"]
+        assert len(legacy) == 1 and legacy[0]["severity"] == "info"
+        assert "nodes" in legacy[0]["detail"]
+        assert "re-ingest" in legacy[0]["detail"]
+        # Informational: the exit code stays 0.
+        assert cli_main(["doctor", "--db", str(path)]) == 0
+        assert "legacy layout" in capsys.readouterr().out
+        with SQLiteStore(tmp_path / "new.db") as store:
+            store.put_graph("r", module_graph())
+            assert not diagnose(store).legacy_layout

@@ -6,8 +6,11 @@ instances: ≤1 vs ≤5 per execution); ZoomIn is about three times
 faster than ZoomOut.
 """
 
+import io
+
 import pytest
 
+from repro.graph import dump_graph
 from repro.obs import profile
 from repro.queries import Zoomer
 
@@ -40,6 +43,25 @@ def test_zoom_in_dealer(benchmark, dealership_graph):
         zoomer.zoom_out(DEALERS)
         zoomer.zoom_in(DEALERS)
     benchmark(roundtrip)
+
+
+def dumped(graph):
+    buffer = io.StringIO()
+    dump_graph(graph, buffer)
+    return buffer.getvalue()
+
+
+@pytest.mark.benchmark(group="fig7a-zoomin")
+def test_zoom_all_round_trip_is_exact(benchmark, dealership_graph):
+    """ZoomIn(ZoomOut(G, M), M) = G down to operand order: the JSONL
+    dump after ZoomOut-all + ZoomIn is byte-identical to the input's."""
+    def roundtrip():
+        duplicate = dealership_graph.copy()
+        zoomer = Zoomer(duplicate)
+        zoomer.zoom_in(zoomer.zoom_out_all())
+        return duplicate
+    restored = benchmark.pedantic(roundtrip, rounds=1, iterations=1)
+    assert dumped(restored) == dumped(dealership_graph)
 
 
 def zoom_work(graph, modules):

@@ -17,20 +17,22 @@ layout named in PAPERS.md) rather than a dict of ``Node`` objects:
 * adjacency reads are served from an incrementally-maintained CSR-style
   view — one tuple of neighbor ids per node — that is built lazily on
   first read and then *patched* with the dirty range of the edge log
-  (and edited in place by removals), so :meth:`csr` is O(1) amortized
-  instead of an O(V+E) rebuild per snapshot.
+  (and edited in place by removals and restores), so :meth:`csr` is
+  O(1) amortized instead of an O(V+E) rebuild per snapshot.
 
 ``Node`` objects still exist, but as lazily-materialized facades whose
 attribute reads and writes go straight through to the arena columns —
 the public API, JSONL serialization, and store round-trips are
-unchanged.  Dead rows (removed nodes) keep their column values so
-zoom fragments can restore nodes by id; node ids are never reused.
+unchanged.  Dead rows (removed nodes) keep their column values, so
+:meth:`ProvenanceGraph.restore_nodes` (ZoomIn) brings nodes back by id
+with only their adjacency rows saved; node ids are never reused.
 """
 
 from __future__ import annotations
 
 import warnings
 from array import array
+from collections import Counter
 from itertools import repeat as _repeat
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
@@ -161,7 +163,7 @@ class _NodeMap:
     Keeps the historical ``graph.nodes`` surface working on top of the
     arena: iteration / membership / ``values()`` behave like the old
     ``Dict[int, Node]``; assignment adopts a node's attributes into
-    the arena at the given id (used by load paths and ZoomIn).
+    the arena at the given id (used by load paths).
     """
 
     __slots__ = ("_graph",)
@@ -595,8 +597,7 @@ class ProvenanceGraph:
                       value: Any = None) -> int:
         """(Re)insert a node at a *specific* id with no adjacency.
 
-        Used by the load paths (JSONL / SQLite) and ZoomIn restore;
-        node ids stay stable across removal + restore.  Rows between
+        Used by the load paths (JSONL / SQLite).  Rows between
         the current high-water mark and ``node_id`` are padded dead.
         """
         self._check_mutable()
@@ -908,8 +909,8 @@ class ProvenanceGraph:
     def remove_node(self, node_id: int) -> None:
         """Remove a node and all edges adjacent to it.
 
-        The arena row is tombstoned (column values are kept so zoom
-        fragments can restore the id later); neighbor views are
+        The arena row is tombstoned (column values are kept, so
+        :meth:`restore_nodes` is the inverse); neighbor views are
         patched in place.
         """
         self._check_mutable()
@@ -974,6 +975,53 @@ class ProvenanceGraph:
             alive[node_id] = 0
         self._live_nodes -= len(doomed)
         self._edge_count -= removed_edges
+        self._version += 1
+
+    def restore_nodes(self, node_ids: Iterable[int],
+                      pred_rows: Dict[int, Tuple[int, ...]],
+                      succ_rows: Dict[int, Tuple[int, ...]]) -> None:
+        """Inverse of :meth:`remove_nodes`: bring tombstoned rows back.
+
+        ``pred_rows`` / ``succ_rows`` hold adjacency rows saved before
+        the removal: those of every restored id and of each surviving
+        neighbor whose row the removal edited.  Each saved row is
+        written back keeping only operands alive now, then any operands
+        the row gained since (compared as multisets) are appended — so
+        a restore right after the removal puts back exactly the old
+        rows, operand order and parallel edges included.  Rows of nodes
+        that are dead now stay empty.
+        """
+        self._check_mutable()
+        restored = set(node_ids)
+        alive = self._alive
+        for node_id in restored:
+            if not (isinstance(node_id, int)
+                    and 0 <= node_id < self._next_node_id) or alive[node_id]:
+                raise ProvenanceGraphError(
+                    f"cannot restore node {node_id!r}: not a removed row")
+        if not restored:
+            return
+        self._sync()
+        for node_id in restored:
+            alive[node_id] = 1
+        is_alive = alive.__getitem__
+        added_edges = 0
+        for views, rows, counted in ((self._pred_views, pred_rows, True),
+                                     (self._succ_views, succ_rows, False)):
+            for node_id, saved in rows.items():
+                if not alive[node_id]:
+                    continue
+                current = views[node_id]
+                row = (saved if all(map(is_alive, saved))
+                       else tuple(filter(is_alive, saved)))
+                if current:
+                    gained = Counter(current) - Counter(saved)
+                    row += tuple(gained.elements())
+                if counted:  # each edge sits in exactly one pred row
+                    added_edges += len(row) - len(current)
+                views[node_id] = row
+        self._live_nodes += len(restored)
+        self._edge_count += added_edges
         self._version += 1
 
     def copy(self) -> "ProvenanceGraph":

@@ -14,16 +14,28 @@ part of the intermediate computation of an invocation of M iff some
 directed path reaches v from an input node, a state node, or another
 intermediate v-node of an invocation of M, with no output node on the
 path (including v itself).
+
+Both directions work on the graph's arena columns and adjacency rows,
+never on ``Node`` objects.  Removed nodes are only tombstoned, so their
+column values survive; a :class:`ZoomFragment` therefore keeps just the
+removed ids, the adjacency rows the removal edited, and the ZOOM node
+ids, and ZoomIn writes those rows back with
+:meth:`~repro.graph.provgraph.ProvenanceGraph.restore_nodes` — operand
+order and parallel edges included, so the restored graph serializes
+byte for byte as before.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..errors import ZoomError
-from ..graph.nodes import Node, NodeKind
+from ..graph.nodes import KIND_CODE, NodeKind
 from ..graph.provgraph import ProvenanceGraph
 from .kernels import multi_source_reach
+
+_TUPLE = KIND_CODE[NodeKind.TUPLE]
 
 
 def intermediate_nodes(graph: ProvenanceGraph,
@@ -49,16 +61,19 @@ def intermediate_nodes(graph: ProvenanceGraph,
 
 
 class ZoomFragment:
-    """Everything ZoomOut removed for one module (for ZoomIn)."""
+    """What ZoomOut of one module changed, enough for ZoomIn to undo it."""
 
-    __slots__ = ("module_name", "nodes", "edges", "zoom_nodes")
+    __slots__ = ("module_name", "removed", "pred_rows", "succ_rows",
+                 "zoom_nodes")
 
     def __init__(self, module_name: str):
         self.module_name = module_name
-        #: removed Node objects keyed by id
-        self.nodes: Dict[int, Node] = {}
-        #: removed edges (source, target) — includes boundary edges
-        self.edges: List[Tuple[int, int]] = []
+        #: removed node ids, sorted (their arena rows are tombstoned)
+        self.removed: List[int] = []
+        #: pred / succ rows as they were before the removal, for the
+        #: removed nodes and every surviving neighbor whose row changed
+        self.pred_rows: Dict[int, Tuple[int, ...]] = {}
+        self.succ_rows: Dict[int, Tuple[int, ...]] = {}
         #: zoom meta-node ids created, keyed by invocation id
         self.zoom_nodes: Dict[int, int] = {}
 
@@ -66,9 +81,13 @@ class ZoomFragment:
 class Zoomer:
     """Applies ZoomOut / ZoomIn to a graph *in place*.
 
-    The zoomer stashes removed fragments so that ZoomIn can restore
-    them exactly; fragments survive arbitrarily interleaved zoom
-    operations on other modules because node ids are stable.
+    One :class:`ZoomFragment` per zoomed-out module holds the saved
+    adjacency rows ZoomIn restores; fragments survive interleaved zoom
+    operations on other modules because node ids are stable.  (An edge
+    between nodes that two modules both hid comes back only when they
+    are zoomed in in the reverse order of their ZoomOuts.)  Both
+    directions check every module name before touching the graph, so a
+    failing call changes nothing.
     """
 
     def __init__(self, graph: ProvenanceGraph):
@@ -84,62 +103,69 @@ class Zoomer:
     # ------------------------------------------------------------------
     def zoom_out(self, module_names: Iterable[str]) -> List[str]:
         """Zoom out of the given modules; returns those actually done."""
-        done = []
-        for module_name in module_names:
-            if module_name in self._fragments:
-                continue  # already zoomed out
+        pending = [module_name for module_name in dict.fromkeys(module_names)
+                   if module_name not in self._fragments]
+        for module_name in pending:
             if not self.graph.invocations_of(module_name):
                 raise ZoomError(
                     f"module {module_name!r} has no invocations in the graph")
-            self._zoom_out_single(module_name)
-            done.append(module_name)
-        return done
+        # ZOOM nodes are the only rows zooming adds, so one list of
+        # VALUE rows serves every module of this call.
+        value_rows = list(compress(
+            count(), self.graph.kind_flags((NodeKind.VALUE,))))
+        for module_name in pending:
+            self._zoom_out_single(module_name, value_rows)
+        return pending
 
-    def _zoom_out_single(self, module_name: str) -> None:
+    def _zoom_out_single(self, module_name: str,
+                         value_rows: List[int]) -> None:
         graph = self.graph
-        fragment = ZoomFragment(module_name)
         invocations = graph.invocations_of(module_name)
         # Steps 1–3: find and remove intermediate computations.
         to_remove = intermediate_nodes(graph, [module_name])
+        adjacency = graph.csr()
+        pred_views, succ_views = adjacency.pred_views, adjacency.succ_views
+        alive = graph._alive
+        kind_codes = graph._kind_codes
         # Step 4: remove state nodes, plus base tuple nodes that feed
         # only state nodes of this module's invocations.
-        state_nodes: Set[int] = set()
-        for invocation in invocations:
-            state_nodes.update(node for node in invocation.state_nodes
-                               if graph.has_node(node))
-        base_candidates: Set[int] = set()
-        for state_node in state_nodes:
-            for pred in graph.preds(state_node):
-                if graph.node(pred).kind is NodeKind.TUPLE:
-                    base_candidates.add(pred)
-        removable_bases = {
-            base for base in base_candidates
-            if all(succ in state_nodes or succ in to_remove
-                   for succ in graph.succs(base))}
-        to_remove |= state_nodes | removable_bases
+        state_nodes = {node for invocation in invocations
+                       for node in invocation.state_nodes
+                       if graph.has_node(node)}
+        to_remove |= state_nodes
+        base_candidates = {pred for node in state_nodes
+                           for pred in pred_views[node]
+                           if kind_codes[pred] == _TUPLE}
+        to_remove.update([base for base in base_candidates
+                          if all(succ in to_remove
+                                 for succ in succ_views[base])])
         # Also sweep nodes of these invocations that become edgeless
         # (shared VALUE leaves of aggregate computations).
         invocation_ids = {invocation.invocation_id for invocation in invocations}
-        for node_id in list(graph.node_ids()):
-            node = graph.node(node_id)
-            if (node.invocation in invocation_ids
-                    and node.kind is NodeKind.VALUE
-                    and all(succ in to_remove for succ in graph.succs(node_id))):
+        owners = graph._invocation_ids
+        for node_id in value_rows:
+            if (alive[node_id] and owners[node_id] in invocation_ids
+                    and all(succ in to_remove
+                            for succ in succ_views[node_id])):
                 to_remove.add(node_id)
-        # Record and remove.
-        recorded_edges: Set[Tuple[int, int]] = set()
-        for node_id in to_remove:
-            if not graph.has_node(node_id):
-                continue
-            fragment.nodes[node_id] = graph.node(node_id)
-            for pred in graph.preds(node_id):
-                recorded_edges.add((pred, node_id))
-            for succ in graph.succs(node_id):
-                recorded_edges.add((node_id, succ))
-        fragment.edges = sorted(recorded_edges)
-        graph.remove_nodes([node_id for node_id in to_remove
-                            if graph.has_node(node_id)])
+        # Save the rows the removal edits, then remove.
+        fragment = ZoomFragment(module_name)
+        fragment.removed = removed = sorted(node_id for node_id in to_remove
+                                            if alive[node_id])
+        pred_rows, succ_rows = fragment.pred_rows, fragment.succ_rows
+        for node_id in removed:
+            operands = pred_rows[node_id] = pred_views[node_id]
+            results = succ_rows[node_id] = succ_views[node_id]
+            for pred in operands:
+                if pred not in to_remove:
+                    succ_rows[pred] = succ_views[pred]
+            for succ in results:
+                if succ not in to_remove:
+                    pred_rows[succ] = pred_views[succ]
+        graph.remove_nodes(removed)
         # Step 5: one zoom meta-node per invocation.
+        sources: List[int] = []
+        targets: List[int] = []
         for invocation in invocations:
             zoom_node = graph.add_node(NodeKind.ZOOM, module_name, "p",
                                        module=module_name,
@@ -147,10 +173,13 @@ class Zoomer:
             fragment.zoom_nodes[invocation.invocation_id] = zoom_node
             for input_node in invocation.input_nodes:
                 if graph.has_node(input_node):
-                    graph.add_edge(input_node, zoom_node)
+                    sources.append(input_node)
+                    targets.append(zoom_node)
             for output_node in invocation.output_nodes:
                 if graph.has_node(output_node):
-                    graph.add_edge(zoom_node, output_node)
+                    sources.append(zoom_node)
+                    targets.append(output_node)
+        graph.add_edge_lists(sources, targets)
         self._fragments[module_name] = fragment
 
     # ------------------------------------------------------------------
@@ -158,26 +187,23 @@ class Zoomer:
     # ------------------------------------------------------------------
     def zoom_in(self, module_names: Iterable[str]) -> List[str]:
         """Restore previously zoomed-out modules."""
-        done = []
-        for module_name in module_names:
-            fragment = self._fragments.pop(module_name, None)
-            if fragment is None:
+        names = list(dict.fromkeys(module_names))
+        for module_name in names:
+            if module_name not in self._fragments:
                 raise ZoomError(
                     f"module {module_name!r} is not zoomed out")
-            self._zoom_in_single(fragment)
-            done.append(module_name)
-        return done
+        for module_name in names:
+            self._zoom_in_single(self._fragments[module_name])
+            del self._fragments[module_name]
+        return names
 
     def _zoom_in_single(self, fragment: ZoomFragment) -> None:
         graph = self.graph
         graph.remove_nodes([zoom_node
                             for zoom_node in fragment.zoom_nodes.values()
                             if graph.has_node(zoom_node)])
-        for node_id, node in fragment.nodes.items():
-            graph.nodes[node_id] = node
-        graph.add_edges((source, target)
-                        for source, target in fragment.edges
-                        if graph.has_node(source) and graph.has_node(target))
+        graph.restore_nodes(fragment.removed, fragment.pred_rows,
+                            fragment.succ_rows)
 
     # ------------------------------------------------------------------
     # Coarse view

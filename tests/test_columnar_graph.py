@@ -280,6 +280,70 @@ class TestArenaInvariants:
 
 
 # ----------------------------------------------------------------------
+# restore_nodes: the inverse of remove_nodes (ZoomIn's primitive)
+# ----------------------------------------------------------------------
+def _rows(graph):
+    ids = list(graph.node_ids())
+    return ({node: graph.preds(node) for node in ids},
+            {node: graph.succs(node) for node in ids})
+
+
+class TestRestoreNodes:
+    def _graph(self, count):
+        graph = ProvenanceGraph()
+        return graph, list(graph.add_nodes(NodeKind.PLUS, count=count))
+
+    def test_restore_right_after_remove_is_exact(self):
+        graph, (u, x, v, w) = self._graph(4)
+        graph.add_edges([(u, x), (x, v), (u, v), (x, v), (w, v)])
+        before = _rows(graph)
+        graph.remove_nodes([x])
+        graph.restore_nodes([x], *before)
+        assert _rows(graph) == before
+        assert graph.edge_count == 5
+        graph.check_consistency(warn_duplicates=False)
+
+    def test_edges_added_since_are_appended_as_a_multiset(self):
+        graph, (u, x, v, q) = self._graph(4)
+        graph.add_edges([(u, v), (x, v), (u, v)])
+        saved = _rows(graph)
+        graph.remove_nodes([x])
+        graph.add_edges([(u, v), (q, v)])
+        graph.restore_nodes([x], *saved)
+        assert graph.preds(v) == (u, x, u, u, q)
+        assert graph.succs(u) == (v, v, v)
+        assert graph.edge_count == 5
+        graph.check_consistency(warn_duplicates=False)
+
+    def test_operands_removed_since_are_dropped(self):
+        graph, (u, x, v) = self._graph(3)
+        graph.add_edges([(u, x), (x, v)])
+        saved = _rows(graph)
+        graph.remove_nodes([x])
+        graph.remove_nodes([v])
+        graph.restore_nodes([x], *saved)
+        assert (graph.preds(x), graph.succs(x)) == ((u,), ())
+        assert not graph.has_node(v)
+        assert graph.edge_count == 1
+        graph.check_consistency()
+
+    def test_only_removed_rows_restore(self):
+        import pytest
+        from repro.errors import FrozenGraphError, ProvenanceGraphError
+        graph, (u, x) = self._graph(2)
+        graph.add_edge(u, x)
+        saved = _rows(graph)
+        for bad in (u, 99, -1, "x"):
+            with pytest.raises(ProvenanceGraphError):
+                graph.restore_nodes([bad], *saved)
+        graph.remove_nodes([x])
+        graph.freeze()
+        with pytest.raises(FrozenGraphError):
+            graph.restore_nodes([x], *saved)
+        assert (graph.node_count, graph.edge_count) == (1, 0)
+
+
+# ----------------------------------------------------------------------
 # ReachabilityIndex chain-aliasing regression
 # ----------------------------------------------------------------------
 class TestChainAliasing:

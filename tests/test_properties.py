@@ -356,11 +356,24 @@ class TestZoomProperties:
         run = ArcticRun(workflow, modules, selectivity="year", num_exec=1,
                         history_years=1)
         run.run(executor)
+        import io
+
+        from repro.graph import dump_graph
+
+        def dumped():
+            buffer = io.StringIO()
+            dump_graph(graph, buffer)
+            return buffer.getvalue()
+
         graph = builder.graph
         module_name = ["Msta1", "Msta2", "Mout", "Msta1"][station_pick]
         before = (set(graph.nodes), graph.edge_count)
+        original = dumped()
         zoomer = Zoomer(graph)
         zoomer.zoom_out([module_name])
         zoomer.zoom_in([module_name])
         assert (set(graph.nodes), graph.edge_count) == before
         graph.check_consistency()
+        assert dumped() == original
+        zoomer.zoom_in(zoomer.zoom_out_all())
+        assert dumped() == original

@@ -3,8 +3,9 @@ Zoom, deletion propagation, subgraph, dependency, ProQL-lite."""
 
 import pytest
 
-from repro.errors import QueryError, UnknownNodeError, ZoomError
-from repro.graph import GraphBuilder, NodeKind
+from repro.errors import (FrozenGraphError, QueryError, UnknownNodeError,
+                          ZoomError)
+from repro.graph import GraphBuilder, NodeKind, ProvenanceGraph
 from repro.queries import (
     ProQL,
     Zoomer,
@@ -136,6 +137,61 @@ class TestZoom:
         done = zoomer.zoom_out_all()
         assert set(done) == duplicate.module_names() | set(done)
         assert zoomer.zoomed_out_modules == set(done)
+
+    def test_zoom_in_keeps_parallel_edges(self):
+        """Semiring multiplicity i·i is two parallel edges i → x; a
+        round trip must restore both, in their operand order."""
+        graph = ProvenanceGraph()
+        invocation = graph.new_invocation("M")
+        t = graph.add_node(NodeKind.WORKFLOW_INPUT)
+        i = graph.add_node(NodeKind.INPUT, module="M",
+                           invocation=invocation.invocation_id)
+        x = graph.add_node(NodeKind.TIMES, module="M",
+                           invocation=invocation.invocation_id)
+        o = graph.add_node(NodeKind.OUTPUT, module="M",
+                           invocation=invocation.invocation_id)
+        invocation.input_nodes.append(i)
+        invocation.output_nodes.append(o)
+        graph.add_edges([(t, i), (i, x), (i, x), (x, o)])
+        assert (graph.edge_count, graph.preds(x)) == (4, (i, i))
+        zoomer = Zoomer(graph)
+        zoomer.zoom_out(["M"])
+        assert not graph.has_node(x)
+        zoomer.zoom_in(["M"])
+        assert (graph.edge_count, graph.preds(x)) == (4, (i, i))
+        assert graph.succs(i) == (x, x)
+        graph.check_consistency(warn_duplicates=False)
+
+    @staticmethod
+    def _zoom_state(graph, zoomer):
+        return (graph.node_count, graph.edge_count, zoomer.zoomed_out_modules)
+
+    def test_failed_zoom_out_changes_nothing(self, dealership_execution):
+        graph = dealership_execution[0].copy()
+        zoomer = Zoomer(graph)
+        before = self._zoom_state(graph, zoomer)
+        with pytest.raises(ZoomError):
+            zoomer.zoom_out(["Magg", "Nope"])
+        assert self._zoom_state(graph, zoomer) == before
+
+    def test_failed_zoom_in_changes_nothing(self, dealership_execution):
+        graph = dealership_execution[0].copy()
+        zoomer = Zoomer(graph)
+        zoomer.zoom_out(["Magg"])
+        before = self._zoom_state(graph, zoomer)
+        with pytest.raises(ZoomError):
+            zoomer.zoom_in(["Magg", "Mdealer1"])
+        assert self._zoom_state(graph, zoomer) == before
+
+    def test_frozen_zoom_in_keeps_fragment(self, simple_invocation_graph):
+        graph, _nodes = simple_invocation_graph
+        zoomer = Zoomer(graph)
+        zoomer.zoom_out(["M"])
+        graph.freeze()
+        before = self._zoom_state(graph, zoomer)
+        with pytest.raises(FrozenGraphError):
+            zoomer.zoom_in(["M"])
+        assert self._zoom_state(graph, zoomer) == before
 
 
 class TestDeletion:

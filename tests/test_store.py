@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from repro.errors import StoreError, UnknownNodeError, UnknownRunError
+from repro.errors import (StoreError, UnknownNodeError, UnknownRunError,
+                          ZoomError)
 from repro.graph import GraphBuilder, NodeKind, ProvenanceGraph
 from repro.lipstick import Lipstick, QueryProcessor
 from repro.queries import ReachabilityIndex, subgraph_query
@@ -417,6 +418,26 @@ class TestProvenanceService:
         assert service.graph("run-a").node_count != before
         service.zoom_in("run-a", [module])
         assert service.graph("run-a").node_count == before
+
+    def test_failed_zoom_leaves_served_graph_alone(self, dealership_execution):
+        store = MemoryStore()
+        store.put_graph("run-a", dealership_execution[0].copy())
+        service = ProvenanceService(store)
+
+        def state():
+            graph = service.graph("run-a")
+            return (graph.node_count, graph.edge_count,
+                    service.processor("run-a").zoomed_out_modules)
+
+        before = state()
+        with pytest.raises(ZoomError):
+            service.zoom_out("run-a", ["Magg", "Nope"])
+        assert state() == before
+        service.zoom_out("run-a", ["Magg"])
+        zoomed = state()
+        with pytest.raises(ZoomError):
+            service.zoom_in("run-a", ["Magg", "Mdealer1"])
+        assert state() == zoomed
 
     def test_processor_rebuilt_after_graph_reload(self):
         """A cached processor must not outlive its graph object when

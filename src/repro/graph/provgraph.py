@@ -626,24 +626,23 @@ class ProvenanceGraph:
         self._version += 1
         return node_id
 
-    def _restore_rows(self, rows: Sequence[Tuple]) -> None:
+    def _restore_columns(self, columns: Sequence[Sequence]) -> None:
         """Bulk :meth:`_restore_node` for load paths.
 
-        ``rows`` are ``(node_id, kind, label, ntype, module,
-        invocation, value)`` tuples.  Runs of sequential fresh ids —
-        the shape every dump produces — take a single bound-method
-        append loop over the columns; anything else falls back to the
-        general per-row restore.
+        ``columns`` are parallel ``(node_ids, kinds, labels, ntypes,
+        modules, invocations, values)`` sequences.  Runs of sequential
+        fresh ids — the shape every dump produces — extend each column
+        once; anything else falls back to the general per-row restore.
         """
         self._check_mutable()
-        if not rows:
+        ids, kinds, labels, ntypes, modules, invocations, values = columns
+        if not ids:
             return
         start = self._next_node_id
-        count = len(rows)
-        ids, kinds, labels, ntypes, modules, invocations, values = zip(*rows)
-        if ids != tuple(range(start, start + count)):
+        count = len(ids)
+        if list(ids) != list(range(start, start + count)):
             # Out-of-order or sparse ids: general per-row restore.
-            for row in rows:
+            for row in zip(*columns):
                 self._restore_node(*row)
             return
         # Dense run of fresh ids: drive every column with C-level

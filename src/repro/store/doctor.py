@@ -3,8 +3,8 @@
 The crash-recovery contract the store makes is *detectability*: a
 process killed mid-ingest leaves either a complete run or a sentinel
 marking the partial one (:meth:`SQLiteStore.mark_pending`), shard
-corruption surfaces as degraded reads, and every parallel-ingested
-run carries the SHA-256 of the spool it was committed from.  This
+corruption surfaces as degraded reads, and every ingested run (serial
+or parallel) carries the SHA-256 of its spool serialization.  This
 module walks those signals:
 
 * :func:`diagnose` — scan a store: shard availability + ``PRAGMA
@@ -24,13 +24,12 @@ module walks those signals:
 from __future__ import annotations
 
 import hashlib
-import io
 import sqlite3
 from typing import List, Optional
 
 from ..errors import ShardUnavailableError, StoreError
 from ..graph.provgraph import ProvenanceGraph
-from ..graph.serialize import dump_graph
+from ..graph.serialize import dump_chunks
 from .base import GraphStore
 
 #: Detail of the informational ``legacy-layout`` diagnosis.
@@ -42,10 +41,12 @@ _LEGACY_LAYOUT_DETAIL = (
 
 
 def graph_checksum(graph: ProvenanceGraph) -> str:
-    """SHA-256 of the graph's canonical JSONL serialization."""
-    buffer = io.StringIO()
-    dump_graph(graph, buffer)
-    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    """SHA-256 of the graph's canonical JSONL serialization, hashed
+    chunk by chunk (the text is never held whole)."""
+    digest = hashlib.sha256()
+    for chunk in dump_chunks(graph):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class DoctorReport:

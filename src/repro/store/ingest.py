@@ -147,7 +147,7 @@ def _spool_spec(spec: WorkloadSpec, directory: str,
     _faults.fire("spool.write", run_id=spec.run_id or "", path=path)
     records = dump_graph(graph, path)
     with open(path, "rb") as stream:
-        digest = hashlib.sha256(stream.read()).hexdigest()
+        digest = hashlib.file_digest(stream, "sha256").hexdigest()
     timings = {
         "pid": os.getpid(),
         "execute_seconds": executed - started,

@@ -141,7 +141,9 @@ def encode_intervals(node_ids: Sequence[int],
             node, children = stack[-1]
             advanced = False
             for child in children:
-                if child not in post and child not in on_stack:
+                if child in on_stack:
+                    return None  # a back edge: cyclic, not a DAG
+                if child not in post:
                     stack.append((child, iter(succs[child])))
                     on_stack.add(child)
                     advanced = True

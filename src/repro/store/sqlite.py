@@ -10,8 +10,9 @@ rebuild the run it is asked about, when it is asked.
 Schema (all tables keyed by ``run_id``):
 
 * ``runs`` — catalog metadata plus id high-water marks;
-* ``nodes`` — one row per node, payload JSON-encoded like the JSONL
-  spool format;
+* ``nodes`` — one row per node, written and read back through the
+  columnar node codec of :mod:`repro.graph.serialize` (payloads are
+  JSON-encoded exactly as in the JSONL spool);
 * ``edges`` — one row per edge *slot* ``(target, seq)`` where ``seq``
   is the position in the target's operand (pred) list, preserving
   operand order and parallel-edge multiplicity;
@@ -59,9 +60,8 @@ from .. import obs as _obs
 from ..obs import profile as _profile
 from ..errors import StoreError, UnknownRunError
 from ..faults.retry import RetryPolicy, retry_call
-from ..graph.nodes import NodeKind
 from ..graph.provgraph import Invocation, ProvenanceGraph
-from ..graph.serialize import _decode_value, _encode_value
+from ..graph.serialize import decode_records, node_records
 from .base import GraphStore, RunInfo
 from .pushdown import (INTERVALS_FALLBACK, INTERVALS_READY, INTERVALS_STALE,
                        PushdownView, encode_intervals, interval_budget,
@@ -126,18 +126,6 @@ CREATE INDEX IF NOT EXISTS node_intervals_post
     ON node_intervals (run_id, post, node_id);
 DROP INDEX IF EXISTS node_intervals_span;
 """
-
-
-def _encode_payload(value) -> Optional[str]:
-    if value is None:
-        return None
-    return json.dumps(_encode_value(value))
-
-
-def _decode_payload(text: Optional[str]):
-    if text is None:
-        return None
-    return _decode_value(json.loads(text))
 
 
 #: No-op context for readers on per-thread connections.
@@ -339,7 +327,7 @@ class SQLiteStore(GraphStore):
                 source = row[1]
             meta = row[2] if row else None
             self._clear_run(cursor, run_id)
-            self._insert_nodes(cursor, run_id, graph, graph.nodes.keys())
+            self._insert_nodes(cursor, run_id, graph, 0)
             self._insert_edge_tails(cursor, run_id, graph, {})
             self._upsert_invocations(cursor, run_id,
                                      graph.invocations.values())
@@ -378,9 +366,7 @@ class SQLiteStore(GraphStore):
                 f"{graph._next_node_id} (append expects a superset graph)")
         now = time.time()
         try:
-            new_node_ids = [node_id for node_id in graph.nodes
-                            if node_id >= stored_next_node]
-            self._insert_nodes(cursor, run_id, graph, new_node_ids)
+            self._insert_nodes(cursor, run_id, graph, stored_next_node)
             stored_counts: Dict[int, int] = dict(cursor.execute(
                 "SELECT target, COUNT(*) FROM edges WHERE run_id = ? "
                 "GROUP BY target", (run_id,)).fetchall())
@@ -448,12 +434,11 @@ class SQLiteStore(GraphStore):
                        (run_id,))
 
     def _insert_nodes(self, cursor: sqlite3.Cursor, run_id: str,
-                      graph: ProvenanceGraph, node_ids) -> None:
+                      graph: ProvenanceGraph, start: int) -> None:
+        """Insert every alive node with id >= ``start``."""
         cursor.executemany(
             "INSERT INTO nodes VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            ((run_id, node.node_id, node.kind.value, node.label, node.ntype,
-              node.module, node.invocation, _encode_payload(node.value))
-             for node in (graph.nodes[node_id] for node_id in node_ids)))
+            ((run_id, *record) for record in node_records(graph, start)))
 
     def _insert_edge_tails(self, cursor: sqlite3.Cursor, run_id: str,
                            graph: ProvenanceGraph,
@@ -546,18 +531,18 @@ class SQLiteStore(GraphStore):
         if row is None:
             raise UnknownRunError(run_id)
         graph = ProvenanceGraph()
-        for (node_id, kind, label, ntype, module, invocation,
-             payload) in cursor.execute(
-                 "SELECT node_id, kind, label, ntype, module, invocation, "
-                 "value FROM nodes WHERE run_id = ? ORDER BY node_id",
-                 (run_id,)):
-            graph._restore_node(node_id, NodeKind(kind), label, ntype,
-                                module, invocation, _decode_payload(payload))
-        graph.add_edges(
-            (source, target)
-            for target, source in cursor.execute(
+        graph._restore_columns(decode_records(cursor.execute(
+            "SELECT node_id, kind, label, ntype, module, invocation, "
+            "value FROM nodes WHERE run_id = ? ORDER BY node_id",
+            (run_id,))))
+        sources: List[int] = []
+        targets: List[int] = []
+        for target, source in cursor.execute(
                 "SELECT target, source FROM edges WHERE run_id = ? "
-                "ORDER BY target, seq", (run_id,)))
+                "ORDER BY target, seq", (run_id,)):
+            sources.append(source)
+            targets.append(target)
+        graph.add_edge_lists(sources, targets)
         for (invocation_id, module, module_node, inputs, outputs,
              state) in cursor.execute(
                  "SELECT invocation_id, module, module_node, inputs, "

@@ -86,6 +86,12 @@ class TestEncoder:
         assert encode_intervals([0, 1, 2],
                                 [[], [2], [1]], budget=100) is None
 
+    def test_cycle_reached_from_a_root_returns_none(self):
+        # 0 -> 1 <-> 2: every node gets a post number, so only the
+        # back edge 2 -> 1 shows the cycle.
+        assert encode_intervals([0, 1, 2],
+                                [[], [0, 2], [1]], budget=100) is None
+
     def test_budget_abort_returns_none(self):
         assert encode_intervals([0, 1, 2], [[], [0], [1]],
                                 budget=2) is None

@@ -13,7 +13,7 @@ Tiers (the §5.1 serving hierarchy, cheapest first):
 * ``csr-view``        — the flat-array :class:`CSRSnapshot` read path
   (memoized subgraph answers included);
 * ``bitset-index``    — a precomputed ``ReachabilityIndex`` closure row;
-* ``sqlite-pushdown`` — the interval-encoded in-database range scan
+* ``sqlite-pushdown`` — recursive edge walks inside SQLite
   (:mod:`repro.store.pushdown`) — answers cold queries without
   rebuilding the graph;
 * ``sqlite-cold``     — a cold store rebuild (SQLite in production;

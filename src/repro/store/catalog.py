@@ -545,7 +545,7 @@ class ProvenanceService:
         may carry zoom surgery the store never saw, and RAM answers
         faster anyway) the CSR path keeps serving.  The view is
         re-fetched per query — one indexed point read — so it always
-        reflects the store's current rows and freshness state.
+        reflects the store's current rows.
         """
         if self._graphs.contains((run_id, self._generation(run_id))):
             return None

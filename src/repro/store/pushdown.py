@@ -1,45 +1,34 @@
-"""SQL-native query pushdown over an interval-encoded DAG.
+"""SQL-native query pushdown: recursive walks over stored adjacency.
 
 Section 5.1 of the paper frames the trade-off between storing plain
 adjacency (cheap writes, traversal at query time) and precomputing
-the transitive closure (fat writes, O(1) reachability).  The cold
-path previously always picked a third, worse option: rebuild the
-whole :class:`~repro.graph.provgraph.ProvenanceGraph` in Python
-before answering anything.  Following the D4M line of work on pushing
-array-style graph encodings *into* the database engine, this module
-materializes a **pre/post-order interval + level encoding** of each
-run's DAG at ingest so ancestors / descendants / subgraph / deletion
-propagation become index lookups answered entirely inside SQLite — no
-graph rebuild, no Python traversal over the full run.
+reachability (fat writes, cheap reads).  The cold path used to pick a
+third, worse option: rebuild the whole
+:class:`~repro.graph.provgraph.ProvenanceGraph` in Python before
+answering anything.  Following the D4M line of work on keeping graph
+traversal *inside* the database engine, :class:`PushdownView` answers
+ancestors / descendants / subgraph / reachability / deletion
+propagation as ``WITH RECURSIVE`` walks over the ``edges`` table the
+store already writes — no graph rebuild, no precomputed encoding:
 
-Encoding (Agrawal-Borgida-Jagadish interval labeling, DAG variant):
+* ancestors walk up the target-keyed ``edges`` primary key;
+* descendants, the deletion cone and ``reachable`` walk down the
+  ``edges_by_source (run_id, source)`` index, which on the clustered
+  table also carries ``target``, so the walk never reads the table;
+* subgraph siblings and the deletion counters need the edges entering
+  the descendant cone, which the same statement reads by joining each
+  cone member to its slots in the ``edges`` primary key.
 
-* a DFS over the *successor* direction from the DAG's roots assigns
-  every node a post-order number ``post`` (1-based);
-* every node carries a set of merged integer intervals ``[lo, hi]``
-  covering exactly the post numbers of itself and its descendants —
-  computed bottom-up (increasing post order) by merging each node's
-  singleton ``[post, post]`` with its successors' interval sets;
-* ``m`` is a descendant of ``n`` iff ``post(m)`` falls inside one of
-  ``n``'s intervals, so descendants are a range scan per interval.
-  Ancestors do not use the labels: stabbing ``lo <= post(m)`` reads a
-  share of the whole run, so they are a recursive walk up the
-  target-keyed ``edges`` primary key instead, whose cost follows the
-  size of the answer (output-sensitive);
-* ``level`` is the node's minimum distance from a root (depth), kept
-  for level-bounded queries and as an encode-order fingerprint.
+Each walk reads only the edges of the cone it returns, so a query
+costs O(answer) index probes.  Because the walks need no labelling,
+appended runs and cyclic runs are served as they stand.
 
-DAG nodes reachable through multiple parents would duplicate whole
-subtree labels under tree-unfolding schemes; interval *merging* keeps
-the common case near one row per node.  Adversarially join-heavy
-graphs can still fragment, so the encoder aborts past a budget
-(:func:`interval_budget`) and the run is marked ``fallback`` — those
-runs keep answering on the CSR tiers, correctness never depends on
-the encoding existing.
+:func:`encode_intervals` keeps the Agrawal-Borgida-Jagadish interval
+labelling the store used to precompute: it is the §5.1 "precomputed
+reachability" exhibit, timed by the benchmark ladder, and no longer
+written by the store.
 
-Set ``REPRO_PUSHDOWN=0`` to disable the tier entirely;
-``REPRO_PUSHDOWN_BUDGET`` (a float, default 8.0) scales the
-row-per-node budget.
+Set ``REPRO_PUSHDOWN=0`` to disable the tier entirely.
 """
 
 from __future__ import annotations
@@ -58,16 +47,17 @@ from ..queries.subgraph import SubgraphResult
 #: Tier name this module contributes to EXPLAIN plans.
 PUSHDOWN_TIER = "sqlite-pushdown"
 
-#: ``runs.interval_state`` values.  NULL (a store written before this
-#: tier existed, or an append that predates the lazy re-encode) is
-#: treated like ``stale``: encodable on first demand.
-INTERVALS_READY = "ready"
-INTERVALS_STALE = "stale"
-INTERVALS_FALLBACK = "fallback"
-
 #: SQLite bounds compound ``IN (...)`` lists; stay far below the
 #: default 32k-variable limit.
 _CHUNK = 500
+
+#: Walk down from the seeds bound at ``?2...`` along the source-keyed
+#: index; ``{seeds}`` is the seed predicate (``= ?2`` or an ``IN``
+#: list).  Seeds appear in ``down`` only when a cycle reaches them.
+_DOWN = ("down(n) AS ("
+         "SELECT target FROM edges WHERE run_id = ?1 AND source {seeds} "
+         "UNION SELECT e.target FROM edges e JOIN down "
+         "ON e.run_id = ?1 AND e.source = down.n)")
 
 
 def pushdown_enabled() -> bool:
@@ -78,23 +68,15 @@ def pushdown_enabled() -> bool:
 
 
 def interval_budget(node_count: int) -> int:
-    """Max interval rows the encoder may emit for a run before it
-    gives up and marks the run ``fallback``.
-
-    Defaults to ``8 x node_count`` (floor 1024): well-formed workflow
-    DAGs merge to ~1 row per node, so the budget only trips on
-    adversarially join-fragmented graphs where the encoding would
-    cost more than it saves.
-    """
-    try:
-        factor = float(os.environ.get("REPRO_PUSHDOWN_BUDGET", "8"))
-    except ValueError:
-        factor = 8.0
-    return max(1024, int(factor * node_count))
+    """Max interval rows :func:`encode_intervals` may emit for a run
+    of ``node_count`` nodes: ``8 x node_count`` (floor 1024).
+    Well-formed workflow DAGs merge to ~1 row per node, so the budget
+    only trips on adversarially join-fragmented graphs."""
+    return max(1024, 8 * node_count)
 
 
 # ----------------------------------------------------------------------
-# Encoder
+# Encoder (the Section 5.1 labelling exhibit; no store code calls it)
 # ----------------------------------------------------------------------
 def encode_intervals(node_ids: Sequence[int],
                      pred_views: Sequence[Sequence[int]],
@@ -104,14 +86,9 @@ def encode_intervals(node_ids: Sequence[int],
 
     Returns ``(node_id, post, lo, hi, level)`` rows sorted by
     ``(node_id, lo)``, or ``None`` when the graph is cyclic or the
-    merged-interval count exceeds ``budget`` (the caller records
-    ``fallback`` and the CSR tiers keep serving).
-
-    Successor adjacency is derived from the pred lists in
-    ``(target, operand-seq)`` order, which is exactly how the
-    ``edges`` table is ordered — so encoding a live graph at ingest
-    and re-encoding from stored rows later produce identical output
-    (pinned by a determinism regression test).
+    merged-interval count exceeds ``budget``.  Successor adjacency is
+    derived from the pred lists in ``(target, operand-seq)`` order, so
+    the output is deterministic for a given graph.
     """
     ids = list(node_ids)
     if not ids:
@@ -199,21 +176,20 @@ def _chunks(values: Sequence[int], size: int = _CHUNK):
 
 
 class PushdownUnavailable(StoreError):
-    """The run's interval encoding cannot serve (re-encode after an
-    append tripped the budget, or the run vanished mid-query).  The
-    service layer catches this and falls back to the CSR tiers."""
+    """The run vanished while a view of it was held.  The service
+    layer catches this and falls back to the CSR tiers."""
 
 
 class PushdownView:
-    """Answers Section 4/5.1 queries as SQL index lookups over one
-    run's ``node_intervals`` and ``edges`` tables.
+    """Answers Section 4/5.1 queries as recursive SQL walks over one
+    run's ``edges`` table.
 
-    The view is stateless — every query re-checks the run's
-    ``interval_state`` (one indexed point read) and triggers a lazy
-    re-encode when an append marked the run stale, so a held view
-    never serves rows from a superseded encoding.  Answer contracts
-    mirror :class:`~repro.store.csr.CSRSnapshot` exactly, which the
-    differential fuzz harness enforces.
+    The view is stateless — every query first re-reads the run's
+    catalog row (one primary-key read), so a held view serves the
+    store's current rows, appends included, and raises
+    :class:`PushdownUnavailable` once the run is deleted.  Answer
+    contracts mirror :class:`~repro.store.csr.CSRSnapshot` exactly,
+    which the differential fuzz harness enforces.
     """
 
     __slots__ = ("_store", "run_id")
@@ -228,25 +204,16 @@ class PushdownView:
             return self._store._conn.execute(sql, params).fetchall()
 
     def _fresh(self) -> None:
-        """Re-encode if an append staled the run since this view was
-        handed out (one indexed point read when already current)."""
-        if not self._store.ensure_intervals(self.run_id):
-            raise PushdownUnavailable(
-                f"run {self.run_id!r} has no usable interval encoding")
+        if not self._execute("SELECT 1 FROM runs WHERE run_id = ?",
+                             (self.run_id,)):
+            raise PushdownUnavailable(f"run {self.run_id!r} is gone")
 
     def _fire(self) -> None:
         _faults.fire("store.read", store=self._store._obs_labels["store"],
                      run_id=self.run_id)
 
-    def _post_of(self, node_id: int) -> Optional[int]:
-        rows = self._execute(
-            "SELECT post FROM node_intervals "
-            "WHERE run_id = ? AND node_id = ? LIMIT 1",
-            (self.run_id, node_id))
-        return rows[0][0] if rows else None
-
     def _require(self, node_id: int) -> None:
-        if not isinstance(node_id, int) or self._post_of(node_id) is None:
+        if not self.has_node(node_id):
             raise UnknownNodeError(node_id)
 
     def _step(self, prof, name: str, started: float, **counters) -> None:
@@ -256,42 +223,33 @@ class PushdownView:
 
     # -- queries -------------------------------------------------------
     def has_node(self, node_id: int) -> bool:
-        if not isinstance(node_id, int):
-            return False
-        self._fresh()
-        return self._post_of(node_id) is not None
+        return isinstance(node_id, int) and bool(self._execute(
+            "SELECT 1 FROM nodes WHERE run_id = ? AND node_id = ?",
+            (self.run_id, node_id)))
 
-    def _descendant_rows(self, node_ids: Sequence[int]) -> Set[int]:
-        """Distinct descendants of any of ``node_ids`` (exclusive of
-        the sources themselves unless reached through another).
-
-        The spans come from primary-key lookups, then one indexed
-        range scan per merged ``[lo, hi]`` interval rather than a
-        self-JOIN: SQLite's planner refuses the ``(run_id, post)`` index
-        for a join whose bounds come from the outer row, degrading to a
-        full per-row scan of the run.
-        """
-        spans: List[Tuple[int, int]] = []
+    def _cone_edges(self, node_ids: Sequence[int],
+                    kinds: bool = False) -> List[tuple]:
+        """``(target, source)`` for every edge slot entering the
+        descendant cone of ``node_ids`` — ``(target, source, kind)``
+        with ``kinds`` — read in the same statement as the walk: each
+        cone member is joined to its operand slots by the ``edges``
+        primary key.  Every member was reached over an edge, so the
+        targets are exactly the cone.  A member reached from two
+        chunks of seeds comes back once per chunk."""
+        # CROSS JOIN pins the join order to walk first: left free, the
+        # planner scans the run's whole source index and probes down.
+        columns, nodes = (("down.n, e.source, nd.kind",
+                           "CROSS JOIN nodes nd ON nd.run_id = ?1 "
+                           "AND nd.node_id = down.n ") if kinds
+                          else ("down.n, e.source", ""))
+        select = (f"SELECT {columns} FROM down {nodes}"
+                  "CROSS JOIN edges e ON e.run_id = ?1 AND e.target = down.n")
+        found: List[tuple] = []
         for chunk in _chunks(list(node_ids)):
-            marks = ",".join("?" * len(chunk))
-            spans.extend(self._execute(
-                "SELECT lo, hi FROM node_intervals "
-                f"WHERE run_id = ? AND node_id IN ({marks})",
+            marks = "IN (" + ",".join("?" * len(chunk)) + ")"
+            found.extend(self._execute(
+                "WITH RECURSIVE " + _DOWN.format(seeds=marks) + " " + select,
                 (self.run_id, *chunk)))
-        spans.sort()
-        found: Set[int] = set()
-        previous_hi = None
-        for lo, hi in spans:
-            if previous_hi is not None and hi <= previous_hi:
-                continue  # nested inside the span just scanned
-            if previous_hi is not None and lo <= previous_hi:
-                lo = previous_hi + 1
-            rows = self._execute(
-                "SELECT node_id FROM node_intervals "
-                "WHERE run_id = ? AND post >= ? AND post <= ?",
-                (self.run_id, lo, hi))
-            found.update(row[0] for row in rows)
-            previous_hi = hi
         return found
 
     def _ancestor_rows(self, node_id: int) -> Set[int]:
@@ -312,8 +270,9 @@ class PushdownView:
         started = time.perf_counter()
         self._fresh()
         self._require(node_id)
-        reached = self._descendant_rows((node_id,))
-        reached.discard(node_id)
+        reached = {row[0] for row in self._execute(
+            "WITH RECURSIVE " + _DOWN.format(seeds="= ?2")
+            + " SELECT n FROM down WHERE n <> ?2", (self.run_id, node_id))}
         self._step(prof, "pushdown.descendants", started,
                    nodes_visited=len(reached))
         return reached
@@ -340,48 +299,64 @@ class PushdownView:
         started = time.perf_counter()
         self._fresh()
         self._require(source)
-        target_post = self._post_of(target)
-        if target_post is None:
-            self._step(prof, "pushdown.reachable", started, found=False)
-            return False
-        rows = self._execute(
-            "SELECT 1 FROM node_intervals WHERE run_id = ? "
-            "AND node_id = ? AND lo <= ? AND hi >= ? LIMIT 1",
-            (self.run_id, source, target_post, target_post))
-        found = bool(rows)
+        found = bool(self._execute(
+            "WITH RECURSIVE " + _DOWN.format(seeds="= ?2")
+            + " SELECT 1 FROM down WHERE n = ?3 LIMIT 1",
+            (self.run_id, source, target)))
         self._step(prof, "pushdown.reachable", started, found=found)
         return found
 
     def subgraph(self, node_id: int) -> SubgraphResult:
-        """Ancestors + descendants + siblings-of-descendants, with the
-        sibling scan pushed to the ``edges`` table."""
+        """Ancestors + descendants + siblings-of-descendants: one walk
+        down that also returns each descendant's operands, and one
+        walk up.  The walk up skips the cone only when the node sits
+        on a cycle: one statement that walks both ways ran at about
+        half the speed of the two plain walks."""
         self._fire()
         prof = _profile.active()
         started = time.perf_counter()
         self._fresh()
         self._require(node_id)
-        descendants = self._descendant_rows((node_id,))
-        descendants.discard(node_id)
-        ancestors = self._ancestor_rows(node_id)
-        member = {node_id} | ancestors | descendants
+        descendants: Set[int] = set()
         siblings: Set[int] = set()
-        for chunk in _chunks(sorted(descendants)):
-            marks = ",".join("?" * len(chunk))
-            rows = self._execute(
-                "SELECT DISTINCT source FROM edges "
-                f"WHERE run_id = ? AND target IN ({marks})",
-                (self.run_id, *chunk))
-            siblings.update(row[0] for row in rows)
-        siblings -= member
+        on_cycle = False
+        for target, source in self._cone_edges((node_id,)):
+            if target == node_id:
+                on_cycle = True
+            else:
+                descendants.add(target)
+                siblings.add(source)
+        ancestors = (self._ancestors_outside_cone(node_id) if on_cycle
+                     else self._ancestor_rows(node_id))
+        siblings -= ancestors
+        siblings -= descendants
+        siblings.discard(node_id)
         self._step(prof, "pushdown.subgraph", started,
                    ancestors=len(ancestors), descendants=len(descendants),
                    siblings=len(siblings))
         return SubgraphResult(node_id, ancestors, descendants, siblings)
 
+    def _ancestors_outside_cone(self, node_id: int) -> Set[int]:
+        """Subgraph ancestors of a node on a cycle.  The CSR kernel
+        shares one membership mask between its sweeps, so the upward
+        sweep neither adds nor expands the node or its descendants;
+        this walk up skips the same nodes.  Off a cycle no ancestor is
+        a descendant, and the plain walk up gives the same set."""
+        rows = self._execute(
+            "WITH RECURSIVE " + _DOWN.format(seeds="= ?2") + ", "
+            "up(n) AS ("
+            "SELECT source FROM edges WHERE run_id = ?1 AND target = ?2 "
+            "AND source <> ?2 AND source NOT IN down "
+            "UNION SELECT e.source FROM edges e JOIN up "
+            "ON e.run_id = ?1 AND e.target = up.n "
+            "WHERE e.source <> ?2 AND e.source NOT IN down) "
+            "SELECT n FROM up", (self.run_id, node_id))
+        return {row[0] for row in rows}
+
     def deletion_set(self, node_ids: Iterable[int],
                      blackbox_multiplicative: bool = False) -> Set[int]:
         """The Definition 4.2 removal set, computed over the seeds'
-        descendant cone only (fetched by range scan) — the counter
+        descendant cone only (fetched by one walk down) — the counter
         BFS then runs on the edges entering that cone, never the full
         graph.
 
@@ -398,29 +373,22 @@ class PushdownView:
             self._require(seed)
         # Every node the deletion could touch lies in the seeds'
         # descendant cone, and every edge leaving a cone member enters
-        # the cone — so one target-keyed scan of the cone's incoming
-        # edges yields both the in-degrees and the successor lists.
-        candidates = self._descendant_rows(seeds)
-        candidates.update(seeds)
+        # the cone — so the cone's incoming edge slots, read with the
+        # walk, yield the in-degrees, the successor lists and the
+        # kinds the counter BFS needs.
         in_degree: Dict[int, int] = {}
         succs: Dict[int, List[int]] = {}
         joint: Dict[int, bool] = {}
         joint_kinds = {kind.value for kind in MULTIPLICATIVE_KINDS}
         if blackbox_multiplicative:
             joint_kinds.add(NodeKind.BLACKBOX.value)
-        for chunk in _chunks(sorted(candidates)):
-            marks = ",".join("?" * len(chunk))
-            for target, source in self._execute(
-                    "SELECT target, source FROM edges "
-                    f"WHERE run_id = ? AND target IN ({marks})",
-                    (self.run_id, *chunk)):
-                in_degree[target] = in_degree.get(target, 0) + 1
-                succs.setdefault(source, []).append(target)
-            for node, kind in self._execute(
-                    "SELECT node_id, kind FROM nodes "
-                    f"WHERE run_id = ? AND node_id IN ({marks})",
-                    (self.run_id, *chunk)):
-                joint[node] = kind in joint_kinds
+        # A member repeated across seed chunks scales its in-degree and
+        # its entries in ``succs`` alike, so its count still reaches 0
+        # exactly when every operand slot is removed.
+        for target, source, kind in self._cone_edges(seeds, kinds=True):
+            in_degree[target] = in_degree.get(target, 0) + 1
+            succs.setdefault(source, []).append(target)
+            joint[target] = kind in joint_kinds
         removed: Set[int] = set(dict.fromkeys(seeds))
         queue = deque(removed)
         remaining: Dict[int, int] = {}
@@ -443,7 +411,8 @@ class PushdownView:
                 else:
                     remaining[successor] = count
         self._step(prof, "pushdown.deletion", started, seeds=len(seeds),
-                   candidates=len(candidates), nodes_visited=len(removed))
+                   candidates=len(in_degree.keys() | set(seeds)),
+                   nodes_visited=len(removed))
         return removed
 
     def __repr__(self) -> str:

@@ -15,20 +15,20 @@ Schema (all tables keyed by ``run_id``):
   JSON-encoded exactly as in the JSONL spool);
 * ``edges`` — one row per edge *slot* ``(target, seq)`` where ``seq``
   is the position in the target's operand (pred) list, preserving
-  operand order and parallel-edge multiplicity;
+  operand order and parallel-edge multiplicity.  The secondary index
+  ``edges_by_source (run_id, source)`` lets the ``sqlite-pushdown``
+  query tier (see :mod:`repro.store.pushdown`) walk edges downward as
+  cheaply as the primary key lets it walk them upward;
 * ``invocations`` — module invocation anchors (inputs/outputs/state
-  node-id lists, JSON-encoded);
-* ``node_intervals`` — the pre/post-order interval + level encoding
-  behind the ``sqlite-pushdown`` query tier (see
-  :mod:`repro.store.pushdown`), written at ingest and re-encoded
-  lazily after appends (``runs.interval_state`` tracks freshness:
-  ``ready`` / ``stale`` / ``fallback``).
+  node-id lists, JSON-encoded).
 
-``nodes``, ``edges``, ``invocations`` and ``node_intervals`` are
-``WITHOUT ROWID`` tables: each primary key is the table's own b-tree,
-so a point lookup is one search and no second key index is stored.
-Files created before that keep their rowid layout and still answer
-correctly (``repro doctor`` reports them as ``legacy-layout``).
+``nodes``, ``edges`` and ``invocations`` are ``WITHOUT ROWID`` tables:
+each primary key is the table's own b-tree, so a point lookup is one
+search and no second key index is stored.  Files created before that
+keep their rowid layout and still answer correctly (``repro doctor``
+reports them as ``legacy-layout``).  Opening such a file drops the
+retired ``node_intervals`` labelling table and builds
+``edges_by_source``.
 
 Incremental append exploits how the tracker grows a graph: node and
 invocation ids are monotonic and operand lists only ever extend, so
@@ -57,15 +57,12 @@ from typing import Dict, List, Optional, Union
 
 from .. import faults as _faults
 from .. import obs as _obs
-from ..obs import profile as _profile
 from ..errors import StoreError, UnknownRunError
 from ..faults.retry import RetryPolicy, retry_call
 from ..graph.provgraph import Invocation, ProvenanceGraph
 from ..graph.serialize import decode_records, node_records
 from .base import GraphStore, RunInfo
-from .pushdown import (INTERVALS_FALLBACK, INTERVALS_READY, INTERVALS_STALE,
-                       PushdownView, encode_intervals, interval_budget,
-                       pushdown_enabled)
+from .pushdown import PushdownView, pushdown_enabled
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -78,8 +75,7 @@ CREATE TABLE IF NOT EXISTS runs (
     invocation_count    INTEGER NOT NULL,
     next_node_id        INTEGER NOT NULL,
     next_invocation_id  INTEGER NOT NULL,
-    meta                TEXT,
-    interval_state      TEXT
+    meta                TEXT
 );
 CREATE TABLE IF NOT EXISTS nodes (
     run_id     TEXT NOT NULL,
@@ -113,18 +109,8 @@ CREATE TABLE IF NOT EXISTS pending_ingests (
     run_id     TEXT PRIMARY KEY,
     started_at REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS node_intervals (
-    run_id  TEXT NOT NULL,
-    node_id INTEGER NOT NULL,
-    post    INTEGER NOT NULL,
-    lo      INTEGER NOT NULL,
-    hi      INTEGER NOT NULL,
-    level   INTEGER NOT NULL,
-    PRIMARY KEY (run_id, node_id, lo)
-) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS node_intervals_post
-    ON node_intervals (run_id, post, node_id);
-DROP INDEX IF EXISTS node_intervals_span;
+CREATE INDEX IF NOT EXISTS edges_by_source ON edges (run_id, source);
+DROP TABLE IF EXISTS node_intervals;
 """
 
 
@@ -191,15 +177,10 @@ class SQLiteStore(GraphStore):
             # Stores created before the telemetry PR lack the runs.meta
             # column; widen them in place (CREATE IF NOT EXISTS above
             # skipped the table, so the ALTER is the upgrade path).
-            # Same pattern for the pushdown tier's interval-state
-            # marker (NULL reads as "encodable on demand").
             columns = {row[1]
                        for row in conn.execute("PRAGMA table_info(runs)")}
             if "meta" not in columns:
                 conn.execute("ALTER TABLE runs ADD COLUMN meta TEXT")
-            if "interval_state" not in columns:
-                conn.execute(
-                    "ALTER TABLE runs ADD COLUMN interval_state TEXT")
             conn.commit()
         except sqlite3.DatabaseError as error:
             # A corrupted/garbage file fails right here; surface it as
@@ -333,8 +314,6 @@ class SQLiteStore(GraphStore):
                                      graph.invocations.values())
             info = self._write_run_row(cursor, run_id, graph, created, now,
                                        source, meta)
-            if pushdown_enabled():
-                self._write_intervals(cursor, run_id, graph)
             # Clearing the ingest sentinel rides the same transaction:
             # the run flips from "pending" to "complete" atomically.
             cursor.execute("DELETE FROM pending_ingests WHERE run_id = ?",
@@ -389,12 +368,6 @@ class SQLiteStore(GraphStore):
             info = self._write_run_row(cursor, run_id, graph, created, now,
                                        source if source is not None
                                        else stored_source, stored_meta)
-            # Appends keep the incremental write cheap: rather than
-            # re-encoding here, mark the interval encoding stale so
-            # the pushdown tier lazily rebuilds it on its next query.
-            cursor.execute(
-                "UPDATE runs SET interval_state = ? WHERE run_id = ?",
-                (INTERVALS_STALE, run_id))
             cursor.execute("DELETE FROM pending_ingests WHERE run_id = ?",
                            (run_id,))
             self._commit(op="append_graph", run_id=run_id)
@@ -430,8 +403,6 @@ class SQLiteStore(GraphStore):
         cursor.execute("DELETE FROM nodes WHERE run_id = ?", (run_id,))
         cursor.execute("DELETE FROM edges WHERE run_id = ?", (run_id,))
         cursor.execute("DELETE FROM invocations WHERE run_id = ?", (run_id,))
-        cursor.execute("DELETE FROM node_intervals WHERE run_id = ?",
-                       (run_id,))
 
     def _insert_nodes(self, cursor: sqlite3.Cursor, run_id: str,
                       graph: ProvenanceGraph, start: int) -> None:
@@ -453,31 +424,6 @@ class SQLiteStore(GraphStore):
                 for seq in range(have, len(predecessors)):
                     yield run_id, target, seq, predecessors[seq]
         cursor.executemany("INSERT INTO edges VALUES (?, ?, ?, ?)", rows())
-
-    def _write_intervals(self, cursor: sqlite3.Cursor, run_id: str,
-                         graph: ProvenanceGraph) -> None:
-        """Interval-encode a live graph inside the put transaction."""
-        ids = list(graph.node_ids())
-        rows = encode_intervals(ids, graph.csr().pred_views,
-                                interval_budget(len(ids)))
-        self._store_interval_rows(cursor, run_id, rows)
-
-    def _store_interval_rows(self, cursor: sqlite3.Cursor, run_id: str,
-                             rows) -> None:
-        """Replace a run's interval rows; ``rows is None`` records the
-        budget/cycle fallback so queries stop re-attempting."""
-        cursor.execute("DELETE FROM node_intervals WHERE run_id = ?",
-                       (run_id,))
-        if rows is None:
-            state = INTERVALS_FALLBACK
-        else:
-            cursor.executemany(
-                "INSERT INTO node_intervals VALUES (?, ?, ?, ?, ?, ?)",
-                ((run_id, node_id, post, lo, hi, level)
-                 for node_id, post, lo, hi, level in rows))
-            state = INTERVALS_READY
-        cursor.execute("UPDATE runs SET interval_state = ? WHERE run_id = ?",
-                       (state, run_id))
 
     def _upsert_invocations(self, cursor: sqlite3.Cursor, run_id: str,
                             invocations) -> None:
@@ -561,84 +507,19 @@ class SQLiteStore(GraphStore):
         return graph
 
     # ------------------------------------------------------------------
-    # Pushdown tier (interval-encoded in-database queries)
+    # Pushdown tier (recursive walks inside SQLite)
     # ------------------------------------------------------------------
-    def interval_state(self, run_id: str) -> Optional[str]:
-        """The run's encoding freshness marker (``ready`` / ``stale``
-        / ``fallback``; ``None`` covers pre-pushdown stores and reads
-        as stale).  Raises :class:`UnknownRunError` for unknown runs."""
-        with self._read_lock():
-            row = self._conn.execute(
-                "SELECT interval_state FROM runs WHERE run_id = ?",
-                (run_id,)).fetchone()
-        if row is None:
-            raise UnknownRunError(run_id)
-        return row[0]
-
-    def ensure_intervals(self, run_id: str) -> bool:
-        """Make the run's interval encoding current, re-encoding from
-        the stored rows when an append (or a pre-pushdown writer)
-        staled it.  Returns False when the tier is disabled, the run
-        is unknown, or the graph exceeded the encode budget."""
-        if not pushdown_enabled():
-            return False
-        try:
-            state = self.interval_state(run_id)
-        except UnknownRunError:
-            return False
-        if state == INTERVALS_READY:
-            return True
-        if state == INTERVALS_FALLBACK:
-            return False
-        return self._retrying("encode_intervals", lambda: self._timed_write(
-            lambda: self._encode_run_locked(run_id)))
-
-    def _encode_run_locked(self, run_id: str) -> bool:
-        """Re-encode from the stored ``nodes``/``edges`` rows — the
-        graph itself is never rebuilt.  Reading edges in ``(target,
-        seq)`` order reproduces the ingest-time operand order, so the
-        lazy encode is byte-identical to the eager one."""
-        cursor = self._conn.cursor()
-        row = cursor.execute(
-            "SELECT interval_state FROM runs WHERE run_id = ?",
-            (run_id,)).fetchone()
-        if row is None:
-            return False
-        if row[0] == INTERVALS_READY:  # lost an encode race; done
-            return True
-        if row[0] == INTERVALS_FALLBACK:
-            return False
-        prof = _profile.active()
-        started = time.perf_counter()
-        try:
-            ids = [node_id for (node_id,) in cursor.execute(
-                "SELECT node_id FROM nodes WHERE run_id = ? "
-                "ORDER BY node_id", (run_id,))]
-            preds: Dict[int, List[int]] = {node_id: [] for node_id in ids}
-            for target, source in cursor.execute(
-                    "SELECT target, source FROM edges WHERE run_id = ? "
-                    "ORDER BY target, seq", (run_id,)):
-                preds[target].append(source)
-            rows = encode_intervals(ids, preds, interval_budget(len(ids)))
-            self._store_interval_rows(cursor, run_id, rows)
-            self._commit(op="encode_intervals", run_id=run_id)
-        except BaseException:
-            self._conn.rollback()
-            raise
-        if prof is not None:
-            prof.step("pushdown.encode", tier="sqlite-pushdown",
-                      seconds=time.perf_counter() - started,
-                      nodes=len(ids), rows=0 if rows is None else len(rows))
-        return rows is not None
-
     def pushdown(self, run_id: str) -> Optional[PushdownView]:
         """A :class:`~repro.store.pushdown.PushdownView` answering
         this run's queries inside SQLite, or ``None`` when the tier
-        is disabled, the run is unknown, or its graph exceeded the
-        encode budget (callers fall back to the CSR tiers)."""
-        if self.ensure_intervals(run_id):
-            return PushdownView(self, run_id)
-        return None
+        is disabled or the run is unknown (callers fall back to the
+        CSR tiers)."""
+        if not pushdown_enabled():
+            return None
+        with self._read_lock():
+            known = self._conn.execute(
+                "SELECT 1 FROM runs WHERE run_id = ?", (run_id,)).fetchone()
+        return PushdownView(self, run_id) if known else None
 
     @staticmethod
     def _info_row(row) -> RunInfo:
@@ -759,8 +640,8 @@ class SQLiteStore(GraphStore):
         with self._read_lock():
             rows = self._conn.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'table' AND "
-                "name IN ('nodes', 'edges', 'invocations', 'node_intervals')"
-                " AND sql NOT LIKE '%WITHOUT ROWID%' ORDER BY name"
+                "name IN ('nodes', 'edges', 'invocations') AND "
+                "sql NOT LIKE '%WITHOUT ROWID%' ORDER BY name"
             ).fetchall()
         return [row[0] for row in rows]
 

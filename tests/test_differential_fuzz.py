@@ -220,17 +220,13 @@ class TestPushdownParity:
     """The SQL pushdown tier answers every query a CSR snapshot (and
     the deletion kernel) can, with identical results, on arbitrary
     generated DAGs — including after deletion propagation re-shapes
-    the graph and forces a re-encode."""
+    the graph, and after one back edge makes the graph cyclic."""
 
-    @given(programs())
-    @_FUZZ_SETTINGS
-    def test_pushdown_matches_kernels(self, generated):
-        program, r_rows, s_rows = generated
-        _result, graph = _run_tracked(program, r_rows, s_rows)
+    @staticmethod
+    def _assert_parity(graph, program):
         store = SQLiteStore()
         try:
             store.put_graph("fuzz", graph)
-            assert store.interval_state("fuzz") == "ready"
             view = store.pushdown("fuzz")
             assert view is not None
             snapshot = CSRSnapshot(graph)
@@ -249,8 +245,34 @@ class TestPushdownParity:
                                              kernel.siblings), program
                 assert view.deletion_set([node_id]) == \
                     deletion_set(graph, [node_id]), program
+                for target in ids[::5]:
+                    assert view.reachable(node_id, target) == \
+                        snapshot.reachable(node_id, target), program
         finally:
             store.close()
+
+    @given(programs())
+    @_FUZZ_SETTINGS
+    def test_pushdown_matches_kernels(self, generated):
+        program, r_rows, s_rows = generated
+        _result, graph = _run_tracked(program, r_rows, s_rows)
+        self._assert_parity(graph, program)
+
+    @given(programs())
+    @_FUZZ_SETTINGS
+    def test_pushdown_matches_kernels_on_a_cycle(self, generated):
+        program, r_rows, s_rows = generated
+        _result, graph = _run_tracked(program, r_rows, s_rows)
+        # Close a cycle through the node with the largest cone: its
+        # newest descendant becomes one of its operands.
+        head = max(graph.node_ids(),
+                   key=lambda node: len(graph.descendants(node)))
+        cone = graph.descendants(head)
+        if not cone:
+            return
+        graph.add_edge(max(cone), head)
+        assert not graph.is_acyclic()
+        self._assert_parity(graph, program)
 
     @given(programs())
     @_FUZZ_SETTINGS

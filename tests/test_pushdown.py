@@ -1,6 +1,6 @@
-"""SQL pushdown tier: interval encoder, range-scan query view, lazy
-re-encode lifecycle, EXPLAIN attribution, and the store/catalog
-correctness satellites that shipped with it."""
+"""SQL pushdown tier: the interval encoder exhibit, the recursive-walk
+query view and its lifecycle, EXPLAIN attribution, and the
+store/catalog correctness satellites that shipped with it."""
 
 import io
 import re
@@ -9,7 +9,7 @@ import sqlite3
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import UnknownNodeError, UnknownRunError
+from repro.errors import UnknownNodeError
 from repro.graph import GraphBuilder
 from repro.graph.provgraph import ProvenanceGraph
 from repro.graph.serialize import dump_graph
@@ -25,9 +25,6 @@ from repro.store import (
 )
 from repro.store.doctor import diagnose
 from repro.store.pushdown import (
-    INTERVALS_FALLBACK,
-    INTERVALS_READY,
-    INTERVALS_STALE,
     PushdownUnavailable,
     PushdownView,
     encode_intervals,
@@ -50,6 +47,14 @@ def module_graph(fanout: int = 4) -> ProvenanceGraph:
         builder.plus_node([output, join], value=float(index))
     builder.end_invocation()
     return builder.graph
+
+
+def cyclic_module_graph() -> ProvenanceGraph:
+    """``module_graph(fanout=3)`` plus the back edge 9 -> 1, which puts
+    1 on a cycle with its own descendants."""
+    graph = module_graph(fanout=3)
+    graph.add_edge(9, 1)
+    return graph
 
 
 # ----------------------------------------------------------------------
@@ -114,28 +119,31 @@ class TestEncoder:
 
 
 # ----------------------------------------------------------------------
-# Store lifecycle: ready / stale / fallback
+# Store lifecycle: put / append / delete
 # ----------------------------------------------------------------------
 class TestIntervalLifecycle:
-    def test_put_encodes_eagerly(self):
+    """The view needs no stored labelling: it serves any existing run
+    as its rows stand, and never writes on the read path."""
+
+    def test_put_serves_view(self):
         store = SQLiteStore()
         store.put_graph("r", module_graph())
-        assert store.interval_state("r") == INTERVALS_READY
         assert store.pushdown("r") is not None
         store.close()
 
-    def test_append_marks_stale_then_query_reencodes(self):
+    def test_append_then_query_answers_superset(self):
         store = SQLiteStore()
         store.put_graph("r", module_graph(fanout=2))
         store.append_graph("r", module_graph(fanout=5))
-        assert store.interval_state("r") == INTERVALS_STALE
-        view = store.pushdown("r")  # lazy re-encode happens here
-        assert store.interval_state("r") == INTERVALS_READY
+        writes = store._conn.total_changes
+        view = store.pushdown("r")
         loaded = store.load_graph("r")
+        assert loaded.node_count == module_graph(fanout=5).node_count
         snapshot = CSRSnapshot(loaded)
         for node_id in loaded.node_ids():
             assert view.descendants(node_id) == snapshot.descendants(node_id)
             assert view.ancestors(node_id) == snapshot.ancestors(node_id)
+        assert store._conn.total_changes == writes
         store.close()
 
     def test_held_view_refreshes_after_append(self):
@@ -148,26 +156,11 @@ class TestIntervalLifecycle:
         assert len(view.descendants(0)) > before
         store.close()
 
-    def test_fallback_state_disables_view(self):
-        store = SQLiteStore()
-        store.put_graph("r", module_graph())
-        with store._write_lock:
-            store._conn.execute(
-                "UPDATE runs SET interval_state = ? WHERE run_id = ?",
-                (INTERVALS_FALLBACK, "r"))
-            store._conn.commit()
-        assert store.pushdown("r") is None
-        store.close()
-
-    def test_held_view_raises_when_encoding_vanishes(self):
+    def test_held_view_raises_after_delete_run(self):
         store = SQLiteStore()
         store.put_graph("r", module_graph())
         view = store.pushdown("r")
-        with store._write_lock:
-            store._conn.execute(
-                "UPDATE runs SET interval_state = ? WHERE run_id = ?",
-                (INTERVALS_FALLBACK, "r"))
-            store._conn.commit()
+        store.delete_run("r")
         with pytest.raises(PushdownUnavailable):
             view.descendants(0)
         store.close()
@@ -176,23 +169,20 @@ class TestIntervalLifecycle:
         monkeypatch.setenv("REPRO_PUSHDOWN", "0")
         store = SQLiteStore()
         store.put_graph("r", module_graph())
-        assert store.interval_state("r") is None
         assert store.pushdown("r") is None
         store.close()
 
     def test_unknown_run(self):
         store = SQLiteStore()
-        with pytest.raises(UnknownRunError):
-            store.interval_state("ghost")
         assert store.pushdown("ghost") is None
         store.close()
 
-    def test_delete_run_clears_interval_rows(self):
+    def test_delete_run_clears_edge_rows(self):
         store = SQLiteStore()
         store.put_graph("r", module_graph())
         store.delete_run("r")
         count = store._conn.execute(
-            "SELECT COUNT(*) FROM node_intervals").fetchone()[0]
+            "SELECT COUNT(*) FROM edges").fetchone()[0]
         assert count == 0
         store.close()
 
@@ -210,24 +200,26 @@ class TestIntervalLifecycle:
         store.close()
 
     def test_preexisting_db_migrates(self, tmp_path):
-        # A database written before this tier existed has neither the
-        # interval_state column nor the node_intervals table; opening
-        # it must migrate, and the first query must encode lazily.
+        # A file written while the store still kept interval labels
+        # has the node_intervals table and no source index; opening it
+        # drops the one and builds the other.
         path = tmp_path / "old.db"
         store = SQLiteStore(path)
         store.put_graph("r", module_graph())
         with store._write_lock:
-            store._conn.execute("DROP TABLE node_intervals")
+            store._conn.execute("DROP INDEX edges_by_source")
             store._conn.execute(
-                "UPDATE runs SET interval_state = NULL")
+                "CREATE TABLE node_intervals (run_id TEXT, node_id INTEGER)")
             store._conn.commit()
         store.close()
         reopened = SQLiteStore(path)
         try:
-            assert reopened.interval_state("r") is None
+            assert "edges_by_source" in index_names(reopened)
+            assert "node_intervals" not in table_names(reopened)
             view = reopened.pushdown("r")
             assert view is not None
-            assert reopened.interval_state("r") == INTERVALS_READY
+            assert view.descendants(0) == \
+                CSRSnapshot(module_graph()).descendants(0)
         finally:
             reopened.close()
 
@@ -270,6 +262,25 @@ class TestViewParity:
                 deletion_set(graph, [node_id],
                              blackbox_multiplicative=True)
 
+    def test_deletion_set_past_one_seed_chunk(self):
+        # 600 seeds fill two IN lists: each chunk's cone holds its own
+        # seeds' children and the shared sink.
+        builder = GraphBuilder()
+        builder.begin_invocation("Mwide")
+        roots = [builder.workflow_input_node(value=(index,))
+                 for index in range(600)]
+        for root in roots:
+            builder.plus_node([root], value=1.0)
+        sink = builder.plus_node(roots, value=0.0)
+        builder.end_invocation()
+        graph = builder.graph
+        store = SQLiteStore()
+        store.put_graph("r", graph)
+        removed = store.pushdown("r").deletion_set(roots)
+        assert removed == deletion_set(graph, roots)
+        assert sink in removed
+        store.close()
+
     def test_reachable_contract(self, served):
         view, snapshot, graph = served
         ids = list(graph.node_ids())
@@ -281,6 +292,34 @@ class TestViewParity:
         assert view.reachable(ids[0], 10**9) is False
         with pytest.raises(UnknownNodeError):
             view.reachable(10**9, ids[0])
+
+    def test_cyclic_run_matches_csr(self):
+        graph = cyclic_module_graph()
+        assert not graph.is_acyclic()
+        store = SQLiteStore()
+        store.put_graph("r", graph)
+        view, snapshot = store.pushdown("r"), CSRSnapshot(graph)
+        # The CSR kernel's shared membership mask keeps 1's own cycle
+        # out of its ancestor sweep; a plain upward walk would not.
+        pushed = view.subgraph(1)
+        assert pushed.ancestors == set()
+        assert pushed.siblings == {0, 3}
+        ids = list(graph.node_ids())
+        for node_id in ids:
+            pushed, kernel = view.subgraph(node_id), \
+                snapshot.subgraph(node_id)
+            assert (pushed.ancestors, pushed.descendants,
+                    pushed.siblings) == (kernel.ancestors,
+                                         kernel.descendants, kernel.siblings)
+            assert view.ancestors(node_id) == snapshot.ancestors(node_id)
+            assert view.descendants(node_id) == \
+                snapshot.descendants(node_id)
+            assert view.deletion_set([node_id]) == \
+                deletion_set(graph, [node_id])
+            for target in ids:
+                assert view.reachable(node_id, target) == \
+                    snapshot.reachable(node_id, target)
+        store.close()
 
     def test_unknown_node_raises(self, served):
         view, _snapshot, _graph = served
@@ -294,21 +333,28 @@ class TestViewParity:
 # ----------------------------------------------------------------------
 # Plan shape: every statement is an index lookup sized by its answer
 # ----------------------------------------------------------------------
-#: A SEARCH keyed past ``run_id``: a point or prefix on ``node_id`` /
-#: ``target``, or a ``post`` range.
+#: A SEARCH keyed past ``run_id``: a point or prefix on ``node_id``,
+#: ``target`` or ``source``; or the point read of the run's own
+#: catalog row, whose whole key is ``run_id``.
 _KEYED = re.compile(r"^SEARCH \w+ USING .*\(run_id=\? AND "
-                    r"(node_id=\?|target=\?|post>\?)")
+                    r"(node_id=\?|target=\?|source=\?)"
+                    r"|^SEARCH runs USING .*\(run_id=\?\)$")
+
+#: The recursive CTEs' own work queues, which are not tables.
+_CTE_QUEUES = ("SCAN up", "SCAN down")
+
+
+def _plan(store, sql, params=()):
+    return [row[-1] for row in store._conn.execute(
+        "EXPLAIN QUERY PLAN " + sql, params)]
 
 
 def _unkeyed_steps(store, sql, params):
     """EXPLAIN QUERY PLAN lines that read a table without a key past
-    ``run_id`` (the recursive CTE's own work queue, ``SCAN up``, is not
-    a table)."""
-    plan = [row[-1] for row in store._conn.execute(
-        "EXPLAIN QUERY PLAN " + sql, params)]
-    return [line for line in plan
-            if line.startswith(("SCAN", "SEARCH")) and line != "SCAN up"
-            and not _KEYED.match(line)]
+    ``run_id``."""
+    return [line for line in _plan(store, sql, params)
+            if line.startswith(("SCAN", "SEARCH"))
+            and line not in _CTE_QUEUES and not _KEYED.match(line)]
 
 
 class TestPlanShape:
@@ -348,6 +394,31 @@ class TestPlanShape:
                 unkeyed[sql.split(" IN (")[0]] = steps
         assert not unkeyed
 
+    @pytest.mark.parametrize("write", ["load_graph", "append_graph"])
+    def test_run_scans_read_the_primary_key_in_order(self, served, write):
+        """The whole-run reads behind a cold load and an append walk
+        each table's primary key in key order: the source index must
+        not tempt the planner into a scan plus a temp b-tree sort."""
+        store, graph = served
+        issued = []
+        store._conn.set_trace_callback(issued.append)
+        try:
+            if write == "load_graph":
+                store.load_graph("r")
+            else:
+                store.append_graph("r", graph)
+        finally:
+            store._conn.set_trace_callback(None)
+        scans = [sql for sql in issued if sql.startswith("SELECT")
+                 and re.search(r"FROM (nodes|edges|invocations) ", sql)]
+        expected = {"load_graph": 3, "append_graph": 1}[write]
+        assert len(scans) == expected, issued
+        for sql in scans:
+            plan = _plan(store, sql)
+            assert len(plan) == 1, (sql, plan)
+            assert re.match(r"^SEARCH \w+ USING PRIMARY KEY \(run_id=\?\)$",
+                            plan[0]), (sql, plan)
+
 
 # ----------------------------------------------------------------------
 # Service wiring + EXPLAIN attribution
@@ -386,16 +457,18 @@ class TestServiceTierSelection:
         plan = explain_query(service, "r", "subgraph", node=5)
         assert "sqlite-pushdown" not in {step.tier for step in plan.steps}
 
-    def test_fallback_run_served_by_csr(self, store):
-        with store._write_lock:
-            store._conn.execute(
-                "UPDATE runs SET interval_state = ? WHERE run_id = ?",
-                (INTERVALS_FALLBACK, "r"))
-            store._conn.commit()
-        service = ProvenanceService(store)
+    def test_cyclic_run_served_by_pushdown(self, store):
+        store.put_graph("r", cyclic_module_graph())
         graph = store.load_graph("r")
+        service = ProvenanceService(store)
+        plan = explain_query(service, "r", "subgraph", node=1)
+        assert {step.tier for step in plan.steps} == {"sqlite-pushdown"}
         assert service.ancestors("r", 5) == graph.ancestors(5)
         assert service.descendants("r", 1) == graph.descendants(1)
+        kernel = CSRSnapshot(graph).subgraph(1)
+        pushed = service.subgraph("r", 1)
+        assert (pushed.ancestors, pushed.siblings) == \
+            (kernel.ancestors, kernel.siblings)
 
     def test_service_answers_match_kernels_cold_and_hot(self, store):
         graph = store.load_graph("r")
@@ -479,30 +552,13 @@ class TestDeterminism:
         assert original.getvalue() == reloaded.getvalue()
         store.close()
 
-    def test_eager_and_lazy_encodes_are_identical(self):
-        """The ingest-time encode (live graph) and the lazy re-encode
-        (stored rows) must emit identical node_intervals rows."""
-        store = SQLiteStore()
-        store.put_graph("r", module_graph(fanout=6))
-        query = ("SELECT node_id, post, lo, hi, level FROM node_intervals "
-                 "WHERE run_id = ? ORDER BY node_id, lo")
-        eager = store._conn.execute(query, ("r",)).fetchall()
-        with store._write_lock:
-            store._conn.execute(
-                "UPDATE runs SET interval_state = ? WHERE run_id = ?",
-                (INTERVALS_STALE, "r"))
-            store._conn.commit()
-        assert store.ensure_intervals("r")
-        lazy = store._conn.execute(query, ("r",)).fetchall()
-        assert eager and eager == lazy
-        store.close()
-
 
 # ----------------------------------------------------------------------
 # Files written before the clustered (WITHOUT ROWID) layout
 # ----------------------------------------------------------------------
 #: The provenance DDL as it stood before the clustered layout: rowid
-#: tables, and the ``node_intervals_span`` index ancestors used to stab.
+#: tables, the ``node_intervals`` labelling table, and the
+#: ``node_intervals_span`` index ancestors used to stab.
 _ROWID_DDL = """
 CREATE TABLE runs (
     run_id TEXT PRIMARY KEY, created_at REAL NOT NULL,
@@ -535,15 +591,22 @@ CREATE INDEX node_intervals_span ON node_intervals (run_id, lo, hi, node_id);
 
 def rowid_store_file(path, graph):
     """A store file in the rowid layout holding ``graph`` as run "r":
-    the rows are put by the current writer, then copied verbatim."""
+    the rows are put by the current writer, then copied verbatim (the
+    ``node_intervals`` table gets the encoder's labels of ``graph``)."""
     source = f"{path}.src"
     with SQLiteStore(source) as store:
         store.put_graph("r", graph)
     conn = sqlite3.connect(path)
     conn.executescript(_ROWID_DDL)
     conn.execute("ATTACH DATABASE ? AS src", (source,))
-    for table in ("runs", "nodes", "edges", "invocations", "node_intervals"):
+    conn.execute("INSERT INTO main.runs SELECT *, 'ready' FROM src.runs")
+    for table in ("nodes", "edges", "invocations"):
         conn.execute(f"INSERT INTO main.{table} SELECT * FROM src.{table}")
+    ids = list(graph.node_ids())
+    conn.executemany(
+        "INSERT INTO node_intervals VALUES ('r', ?, ?, ?, ?, ?)",
+        encode_intervals(ids, graph.csr().pred_views,
+                         interval_budget(len(ids))))
     conn.commit()
     conn.close()
     return path
@@ -552,6 +615,11 @@ def rowid_store_file(path, graph):
 def index_names(store):
     return {row[0] for row in store._conn.execute(
         "SELECT name FROM sqlite_master WHERE type = 'index'")}
+
+
+def table_names(store):
+    return {row[0] for row in store._conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
 
 
 class TestLegacyLayout:
@@ -579,14 +647,13 @@ class TestLegacyLayout:
                 assert view.reachable(source, target) == \
                     snapshot.reachable(source, target)
 
-    def test_append_then_query_reencodes(self, tmp_path):
+    def test_append_then_query_serves_superset(self, tmp_path):
         path = rowid_store_file(tmp_path / "old.db", module_graph(fanout=2))
         with SQLiteStore(path) as store:
             store.append_graph("r", module_graph(fanout=5))
-            assert store.interval_state("r") == INTERVALS_STALE
             view = store.pushdown("r")
-            assert store.interval_state("r") == INTERVALS_READY
             loaded = store.load_graph("r")
+            assert loaded.node_count == module_graph(fanout=5).node_count
             snapshot = CSRSnapshot(loaded)
             for node_id in loaded.node_ids():
                 assert view.descendants(node_id) == \
@@ -596,15 +663,20 @@ class TestLegacyLayout:
     def test_span_index_dropped_layout_kept(self, tmp_path):
         path = rowid_store_file(tmp_path / "old.db", module_graph())
         conn = sqlite3.connect(path)
+        assert conn.execute("SELECT COUNT(*) FROM node_intervals"
+                            ).fetchone()[0] >= module_graph().node_count
         assert "node_intervals_span" in {row[0] for row in conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'index'")}
         conn.close()
         with SQLiteStore(path) as store:
-            assert "node_intervals_span" not in index_names(store)
-            assert "node_intervals_post" in index_names(store)
+            # The labelling table goes with both its indexes; the
+            # walk-down index is built in its place.
+            assert "node_intervals" not in table_names(store)
+            assert not {"node_intervals_span", "node_intervals_post"} \
+                & index_names(store)
+            assert "edges_by_source" in index_names(store)
             # No migration: the tables keep their rowid layout.
-            assert store.rowid_tables() == ["edges", "invocations",
-                                            "node_intervals", "nodes"]
+            assert store.rowid_tables() == ["edges", "invocations", "nodes"]
 
     def test_new_file_is_clustered(self, tmp_path):
         with SQLiteStore(tmp_path / "new.db") as store:

@@ -2,17 +2,15 @@
 
 This module replays the seed/PR-1 representation — a dict of ``Node``
 objects plus dict-of-lists adjacency, mutated one node/edge at a
-time — so the perf harness (``perf_harness.py``) can measure the
-columnar core against the exact code shape it replaced, and the
-golden-equivalence tests can assert that both representations
-serialize to byte-identical JSONL.  The seed's writers are kept here
-too: :func:`legacy_dump` (the per-node facade JSONL loop) and
-:func:`legacy_node_rows` (the store's per-node ``nodes`` rows) are
-the oracles for ``repro.graph.serialize``'s columnar codec.
+time — so the golden-equivalence tests can assert that the columnar
+core and the exact code shape it replaced serialize to
+byte-identical JSONL.  The seed's writers are kept here too:
+:func:`legacy_dump` (the per-node facade JSONL loop) and
+:func:`legacy_node_rows` (the store's per-node ``nodes`` rows) are the
+oracles for ``repro.graph.serialize``'s columnar codec.
 
 It is intentionally *not* importable from ``repro``: it exists only
-under ``benchmarks/`` and ``tests/`` as a measurement and oracle
-artifact.
+under ``benchmarks/`` as an oracle for ``tests/``.
 """
 
 from __future__ import annotations

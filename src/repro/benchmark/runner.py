@@ -9,20 +9,13 @@ Run from the command line::
 
     python -m repro.benchmark.runner            # everything
     python -m repro.benchmark.runner fig5a fig7b
-
-``compare-history`` is the regression checker over the perf harness's
-``BENCH_HISTORY.jsonl`` (see ``benchmarks/report_schema.py``)::
-
-    python -m repro.benchmark.runner compare-history \
-        --history BENCH_HISTORY.jsonl --tolerance 0.2
 """
 
 from __future__ import annotations
 
-import json
 import statistics
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..engine.cluster import dealership_parallelism_experiment
 from ..graph.stats import output_dependency_profiles
@@ -265,117 +258,8 @@ EXPERIMENTS: Dict[str, Tuple[Callable[[], Table], Sequence[str]]] = {
 }
 
 
-# ----------------------------------------------------------------------
-# Benchmark-history regression checking
-# ----------------------------------------------------------------------
-#: Metrics gated by ``compare-history``.  All are speedups (higher is
-#: better); a drop past the tolerance is a regression.
-REGRESSION_METRICS = ("fig6_replay_speedup", "fig7_read_path_speedup")
-
-
-def _load_history(history) -> List[dict]:
-    """``compare`` accepts a path or an already-loaded entry list."""
-    if isinstance(history, (list, tuple)):
-        return list(history)
-    entries: List[dict] = []
-    with open(history, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
-
-
-def _baseline_for(entries: List[dict], current: dict) -> Optional[dict]:
-    """The most recent prior entry measured under the same conditions.
-
-    Only entries whose scales and smoke flag match the current run are
-    comparable — a full-scale laptop run must never be judged against
-    a tiny CI smoke run.
-    """
-    for entry in reversed(entries):
-        if (entry.get("scales") == current.get("scales")
-                and entry.get("smoke") == current.get("smoke")):
-            return entry
-    return None
-
-
-def compare(history, tolerance: float = 0.2,
-            metrics: Sequence[str] = REGRESSION_METRICS) -> dict:
-    """Compare the newest history entry against its baseline.
-
-    Returns ``{"status": "ok" | "regression" | "baseline" | "empty",
-    "checks": [...]}``.  ``baseline`` means no comparable prior entry
-    exists (first run at these scales); ``regression`` means at least
-    one gated metric dropped by more than ``tolerance`` (fractional,
-    e.g. 0.2 = 20%) relative to the baseline.
-    """
-    entries = _load_history(history)
-    if not entries:
-        return {"status": "empty", "checks": []}
-    current = entries[-1]
-    baseline = _baseline_for(entries[:-1], current)
-    if baseline is None:
-        return {"status": "baseline", "current": current, "checks": []}
-    checks = []
-    regressed = False
-    for name in metrics:
-        now = (current.get("metrics") or {}).get(name)
-        then = (baseline.get("metrics") or {}).get(name)
-        if now is None or then is None or not then:
-            checks.append({"metric": name, "status": "missing",
-                           "current": now, "baseline": then})
-            continue
-        change = now / then - 1.0
-        bad = change < -tolerance
-        regressed = regressed or bad
-        checks.append({"metric": name, "status":
-                       "regression" if bad else "ok",
-                       "current": now, "baseline": then,
-                       "change": round(change, 4)})
-    return {"status": "regression" if regressed else "ok",
-            "tolerance": tolerance,
-            "current_sha": current.get("git_sha"),
-            "baseline_sha": baseline.get("git_sha"),
-            "checks": checks}
-
-
-def _compare_history_main(argv: Sequence[str]) -> int:
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.benchmark.runner compare-history",
-        description="fail (exit 1) when the newest BENCH_HISTORY.jsonl "
-                    "entry regressed vs its baseline")
-    parser.add_argument("--history", default="BENCH_HISTORY.jsonl")
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed fractional drop (default: 0.2)")
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(list(argv))
-    try:
-        outcome = compare(args.history, tolerance=args.tolerance)
-    except OSError as error:
-        print(f"cannot read history {args.history}: {error}",
-              file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(outcome))
-    else:
-        print(f"{args.history}: {outcome['status']}")
-        for check in outcome["checks"]:
-            change = check.get("change")
-            detail = (f"{change:+.1%}" if change is not None
-                      else "metric missing")
-            print(f"  {check['metric']}: {check['status']} "
-                  f"({check.get('baseline')} -> {check.get('current')}, "
-                  f"{detail})")
-    return 1 if outcome["status"] == "regression" else 0
-
-
 def main(argv: Sequence[str]) -> int:
-    argv = list(argv)
-    if argv and argv[0] == "compare-history":
-        return _compare_history_main(argv[1:])
-    requested = argv or list(EXPERIMENTS)
+    requested = list(argv) or list(EXPERIMENTS)
     unknown = [name for name in requested if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}; "

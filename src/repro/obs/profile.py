@@ -10,9 +10,8 @@ Tiers (the §5.1 serving hierarchy, cheapest first):
 
 * ``service-lru``     — the service's version-keyed graph LRU hit;
 * ``frozen-snapshot`` — a cached frozen copy served to readers;
-* ``csr-view``        — the flat-array :class:`CSRSnapshot` read path
+* ``csr-view``        — the frozen-row :class:`CSRSnapshot` read path
   (memoized subgraph answers included);
-* ``bitset-index``    — a precomputed ``ReachabilityIndex`` closure row;
 * ``sqlite-pushdown`` — recursive edge walks inside SQLite
   (:mod:`repro.store.pushdown`) — answers cold queries without
   rebuilding the graph;
@@ -46,8 +45,8 @@ from contextvars import ContextVar
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 #: Canonical tier vocabulary (used by plan renderers and tests).
-TIERS = ("service-lru", "frozen-snapshot", "csr-view", "bitset-index",
-         "sqlite-pushdown", "sqlite-cold")
+TIERS = ("service-lru", "frozen-snapshot", "csr-view", "sqlite-pushdown",
+         "sqlite-cold")
 
 _perf = time.perf_counter
 

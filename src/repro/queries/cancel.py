@@ -12,10 +12,10 @@ deadline slot every few thousand expansions, raising
 Cost model (mirrors :mod:`repro.obs` and :mod:`repro.faults`): the
 *disabled* path is one module-global integer read at kernel entry —
 when no thread in the process holds a deadline, the kernels dispatch
-straight to their unchecked loops, so serving without deadlines costs
-nothing measurable (gated within 5% on the fig 7 read benchmark by
-``benchmarks/service_load.py``).  Only a thread actually inside a
-scope pays the periodic ``perf_counter`` check.
+straight to their unchecked loops (``python3 -m bench``'s
+``query_warm.overhead_ratio`` measures what a deadline costs).  Only a
+thread actually inside a scope pays the periodic ``perf_counter``
+check.
 
 The slot is a plain thread-local (not a contextvar): kernels run on
 worker threads, and the service sets the scope around the whole

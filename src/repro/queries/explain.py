@@ -5,8 +5,8 @@ of one of the six paper kinds (plus ProQL text pipelines) against a
 :class:`~repro.store.catalog.ProvenanceService` with a
 :mod:`repro.obs.profile` capture installed, and returns the resulting
 :class:`~repro.obs.profile.QueryPlan` — ordered steps naming the
-answering tier (service LRU / frozen snapshot / CSR view / bitset
-closure row / cold store rebuild) with per-kernel cost counters.
+answering tier (service LRU / frozen snapshot / CSR view / SQLite
+pushdown / cold store rebuild) with per-kernel cost counters.
 
 The service argument is duck-typed (``graph``/``csr``/``subgraph``/
 ``reachable`` methods), keeping this module free of store imports; it

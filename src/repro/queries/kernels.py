@@ -242,10 +242,10 @@ def multi_source_reach(views: Views, starts: Iterable[int], size: int,
     expanded — the Definition 4.1 "no output node on the path" rule
     when ``barrier`` flags OUTPUT-kind rows.
     """
+    starts = list(starts)  # the kernels walk it twice: mark, then seed
     prof = _profile.active()
     if prof is None and not _obs.enabled():
         return _run_multi_source_reach(views, starts, size, barrier)
-    starts = list(starts)
     started = _perf()
     reached = _run_multi_source_reach(views, starts, size, barrier)
     seconds = _perf() - started
@@ -260,7 +260,7 @@ def multi_source_reach(views: Views, starts: Iterable[int], size: int,
     return reached
 
 
-def _multi_source_reach(views: Views, starts: Iterable[int], size: int,
+def _multi_source_reach(views: Views, starts: List[int], size: int,
                         barrier: Optional[bytes] = None) -> List[int]:
     mask = bytearray(size)
     stack: List[int] = []
@@ -293,7 +293,7 @@ def _multi_source_reach(views: Views, starts: Iterable[int], size: int,
     return reached
 
 
-def _run_multi_source_reach(views: Views, starts: Iterable[int], size: int,
+def _run_multi_source_reach(views: Views, starts: List[int], size: int,
                             barrier: Optional[bytes] = None) -> List[int]:
     deadline = _cancel.current()
     if deadline is None:
@@ -302,7 +302,7 @@ def _run_multi_source_reach(views: Views, starts: Iterable[int], size: int,
                                        deadline)
 
 
-def _multi_source_reach_checked(views: Views, starts: Iterable[int],
+def _multi_source_reach_checked(views: Views, starts: List[int],
                                 size: int, barrier: Optional[bytes],
                                 deadline) -> List[int]:
     mask = bytearray(size)

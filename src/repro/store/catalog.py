@@ -7,12 +7,11 @@ building the provenance graph").  This module scales that design out:
 * :class:`RunCatalog` is the registration side — it names runs,
   ingests tracker spool files (``.gz`` transparent), and adopts live
   graphs into whichever backend it wraps;
-* :class:`ProvenanceService` is the serving side — it keeps an LRU
-  cache of rebuilt graphs, :class:`~repro.store.csr.CSRSnapshot`
-  instances, and
-  :class:`~repro.queries.reachability.ReachabilityIndex` instances so
-  repeated zoom / subgraph / deletion / what-if queries against the
-  same runs skip both the disk rebuild and the snapshot build.
+* :class:`ProvenanceService` is the serving side — it keeps LRU
+  caches of rebuilt graphs and :class:`~repro.store.csr.CSRSnapshot`
+  instances so repeated zoom / subgraph / deletion / what-if queries
+  against the same runs skip both the disk rebuild and the snapshot
+  build.
 
 Caches are keyed by the graph's mutation ``version``: surgery on a
 served graph (in-place deletion, zoom) silently invalidates the
@@ -45,7 +44,6 @@ from ..errors import StoreIOError
 from ..queries import cancel as _cancel
 from ..graph.provgraph import ProvenanceGraph
 from ..queries.deletion import deletion_set as _kernel_deletion_set
-from ..queries.reachability import ReachabilityIndex
 from ..queries.subgraph import SubgraphResult
 from .base import GraphStore, RunInfo
 from .csr import CSRSnapshot
@@ -98,12 +96,11 @@ class LRUCache:
 
     Thread-safe: lookup, insert, and eviction happen under one
     reentrant lock, but ``build()`` runs *outside* it so an expensive
-    cold build (a multi-second reachability index, a cold SQLite
-    rebuild) never blocks hits — or other builds — for unrelated
-    keys.  Two threads missing the same key concurrently may both
-    build; the first insert wins and the loser's value is discarded
-    (the service layer's per-run locks already prevent that for
-    same-run artifacts).
+    cold build (a cold SQLite rebuild, a CSR snapshot) never blocks
+    hits — or other builds — for unrelated keys.  Two threads missing
+    the same key concurrently may both build; the first insert wins
+    and the loser's value is discarded (the service layer's per-run
+    locks already prevent that for same-run artifacts).
     """
 
     def __init__(self, capacity: int, name: Optional[str] = None,
@@ -310,13 +307,10 @@ class ProvenanceService:
     One service instance fronts one store; per-run
     :class:`~repro.lipstick.QueryProcessor` facades are built (and
     cached) on demand, each accelerated by a cached CSR snapshot.
-    ``ReachabilityIndex`` instances — the §5.1 precomputed-closure
-    trade-off — are cached separately because they are much more
-    expensive to build and to hold.
     """
 
     def __init__(self, store: GraphStore, graph_cache_size: int = 8,
-                 csr_cache_size: int = 8, index_cache_size: int = 2,
+                 csr_cache_size: int = 8,
                  cache_budget_bytes: Optional[int] = None):
         self.store = store
         self.catalog = RunCatalog(store, invalidate=self.invalidate)
@@ -335,7 +329,6 @@ class ProvenanceService:
         self._processors = LRUCache(graph_cache_size, name="processors")
         self._snapshots = LRUCache(csr_cache_size, name="csr",
                                    budget_bytes=csr_budget)
-        self._indexes = LRUCache(index_cache_size, name="reachability")
         self._frozen = LRUCache(graph_cache_size, name="frozen",
                                 budget_bytes=frozen_budget)
         self._load_seconds: dict = {}
@@ -474,24 +467,6 @@ class ProvenanceService:
                       nodes=frozen.node_count, edges=frozen.edge_count)
             return frozen
 
-    def reachability_index(self, run_id: str,
-                           index_ancestors: bool = True) -> ReachabilityIndex:
-        """The precomputed-closure index (§5.1 trade-off), cached."""
-        with self._run_lock(run_id):
-            graph = self.graph(run_id)
-            key = (run_id, graph.version, index_ancestors)
-            prof = _profile.active()
-            build = lambda: ReachabilityIndex(
-                graph, index_ancestors=index_ancestors)
-            if prof is None:
-                return self._indexes.get_or_build(key, build)
-            hit = self._indexes.contains(key)
-            started = time.perf_counter()
-            index = self._indexes.get_or_build(key, build)
-            prof.step("service.reachability_index", tier="bitset-index",
-                      seconds=time.perf_counter() - started, cached=int(hit))
-            return index
-
     def invalidate(self, run_id: Optional[str] = None) -> None:
         """Drop cached artifacts (all runs when ``run_id`` is None) —
         call after writing to the store behind the service."""
@@ -499,14 +474,14 @@ class ProvenanceService:
             with self._run_locks_guard:
                 self._epoch += 1
             for cache in (self._graphs, self._processors, self._snapshots,
-                          self._indexes, self._frozen):
+                          self._frozen):
                 cache.evict(lambda key: True)
             return
         with self._run_locks_guard:
             self._generations[run_id] = self._generations.get(run_id, 0) + 1
         self._graphs.evict(lambda key: key[0] == run_id)
         self._processors.evict(lambda key: key[0] == run_id)
-        for cache in (self._snapshots, self._indexes, self._frozen):
+        for cache in (self._snapshots, self._frozen):
             cache.evict(lambda key: key[0] == run_id)
 
     # ------------------------------------------------------------------
@@ -658,7 +633,6 @@ class ProvenanceService:
             "graphs": (self._graphs.hits, self._graphs.misses),
             "processors": (self._processors.hits, self._processors.misses),
             "csr": (self._snapshots.hits, self._snapshots.misses),
-            "reachability": (self._indexes.hits, self._indexes.misses),
         }
 
     def cache_info(self) -> dict:
@@ -669,7 +643,6 @@ class ProvenanceService:
             "graphs": self._graphs.info(),
             "processors": self._processors.info(),
             "csr": self._snapshots.info(),
-            "reachability": self._indexes.info(),
             "frozen": self._frozen.info(),
         }
 

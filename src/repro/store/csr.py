@@ -6,22 +6,16 @@ node, and compute ancestor and descendant information as appropriate
 at query time.  An alternative is to pre-compute the transitive
 closure ... [which] would result in higher memory overhead, but may
 speed up query processing."  A :class:`CSRSnapshot` sits between the
-two extremes: no transitive closure, but the dict-of-lists adjacency
-of :class:`~repro.graph.provgraph.ProvenanceGraph` is frozen into
-flat :mod:`array` offset/target buffers (forward and backward) — the
-array-backed associative adjacency of D4M-style engines.
+two extremes: no transitive closure, but the graph's incrementally
+maintained adjacency (:meth:`~repro.graph.provgraph.ProvenanceGraph.csr`)
+is frozen into two row lists, predecessors and successors — the
+row-indexed associative adjacency of D4M-style engines.
 
-Two layers make the read path fast in pure Python:
-
-* the **flat buffers** (``array('q')`` offsets + targets) are the
-  canonical, compact form — 8 bytes per edge endpoint, cache-friendly,
-  and what :meth:`memory_bytes` accounts;
-* **per-node views** — one tuple per node, sliced out of the target
-  buffer once at build time — feed the traversal loops.  Slicing the
-  ``array`` at query time would re-box every integer on every visit;
-  the views materialize each node id exactly once, so traversals run
-  on C-level ``list.extend`` plus a ``bytearray`` visited mask instead
-  of hashing ids through dicts and sets.
+Each row is the graph's own immutable neighbour tuple, indexed by node
+id, so freezing is one list copy per direction and no id is re-boxed.
+Traversals run on C-level ``list.extend`` over those rows plus a
+``bytearray`` visited mask instead of hashing ids through dicts and
+sets.
 
 A snapshot is immutable and records the source graph's ``version``;
 consumers compare via :meth:`matches` to detect staleness after graph
@@ -43,16 +37,13 @@ from ..queries.kernels import (_reach_checked, _reachable_checked,
                                subgraph_sets)
 from ..queries.subgraph import SubgraphResult
 
-_EMPTY: Tuple[int, ...] = ()
-
 
 class CSRSnapshot:
-    """Flat-array adjacency snapshot of a provenance graph."""
+    """Frozen adjacency snapshot of a provenance graph."""
 
     __slots__ = ("version", "node_count", "edge_count", "_mask_size",
-                 "_ids", "_id_set", "_pred_offsets", "_pred_targets",
-                 "_succ_offsets", "_succ_targets", "_pred_views",
-                 "_succ_views", "_subgraph_cache")
+                 "_ids", "_id_set", "_pred_views", "_succ_views",
+                 "_subgraph_cache")
 
     def __init__(self, graph: ProvenanceGraph):
         ids = list(graph.node_ids())
@@ -67,28 +58,13 @@ class CSRSnapshot:
         self._ids: Optional[array] = None if dense else array("q", ids)
         self._id_set: Optional[frozenset] = None if dense else frozenset(ids)
         # Freeze the graph's incrementally-maintained adjacency: the
-        # per-node view tuples are immutable and shared, so packing is
-        # one list copy plus the flat-buffer build — no re-hashing of
-        # neighbor lists.
+        # per-node view tuples are immutable and shared (dead rows are
+        # already empty), so freezing is one list copy per direction.
         adjacency = graph.csr()
-        (self._pred_offsets, self._pred_targets,
-         self._pred_views) = self._pack(ids, adjacency.pred_views)
-        (self._succ_offsets, self._succ_targets,
-         self._succ_views) = self._pack(ids, adjacency.succ_views)
+        self._pred_views = adjacency.pred_views[:self._mask_size]
+        self._succ_views = adjacency.succ_views[:self._mask_size]
         # The snapshot is immutable, so query answers are memoizable.
         self._subgraph_cache: dict = {}
-
-    def _pack(self, ids, live_views):
-        offsets = array("q", [0])
-        targets = array("q")
-        views: List[Tuple[int, ...]] = [_EMPTY] * self._mask_size
-        for node_id in ids:
-            neighbors = live_views[node_id]
-            targets.extend(neighbors)
-            offsets.append(len(targets))
-            if neighbors:
-                views[node_id] = neighbors
-        return offsets, targets, views
 
     # ------------------------------------------------------------------
     # Membership
@@ -283,15 +259,13 @@ class CSRSnapshot:
     # Cost accounting
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Bytes held by the snapshot: the flat CSR buffers (8 B per
-        edge endpoint, each direction) plus the per-node traversal
-        views (tuple headers + pointers; the node-id ints themselves
-        are shared with the source graph)."""
-        buffers = [self._pred_offsets, self._pred_targets,
-                   self._succ_offsets, self._succ_targets]
+        """Bytes held by the snapshot: the two row lists and their
+        per-node view tuples (tuple headers + pointers; the node-id
+        ints themselves are shared with the source graph), plus the id
+        vocabulary of a sparse graph."""
+        total = 0
         if self._ids is not None:
-            buffers.append(self._ids)
-        total = sum(buffer.itemsize * len(buffer) for buffer in buffers)
+            total += self._ids.itemsize * len(self._ids)
         for views in (self._pred_views, self._succ_views):
             total += sys.getsizeof(views)
             total += sum(sys.getsizeof(view) for view in views if view)

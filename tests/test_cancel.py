@@ -14,11 +14,13 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import DeadlineExceededError
 from repro.graph.nodes import NodeKind
 from repro.graph.provgraph import ProvenanceGraph
 from repro.queries import cancel
 from repro.queries.deletion import deletion_set
+from repro.queries.kernels import multi_source_reach
 from repro.queries.subgraph import subgraph_query
 from repro.store.csr import CSRSnapshot
 
@@ -29,6 +31,18 @@ def chain_graph(n: int) -> ProvenanceGraph:
     for i in range(1, n):
         graph.add_edge(ids[i - 1], ids[i])
     return graph
+
+
+def sweep(graph: ProvenanceGraph, barrier_at=None):
+    """ZoomOut's forward sweep from the chain head, optionally stopped
+    by an OUTPUT-style barrier row."""
+    adjacency = graph.csr()
+    barrier = None
+    if barrier_at is not None:
+        barrier = bytearray(adjacency.size)
+        barrier[barrier_at] = 1
+    return multi_source_reach(adjacency.succ_views, [0], adjacency.size,
+                              barrier)
 
 
 class TestDeadlineScope:
@@ -100,7 +114,10 @@ class TestKernelCancellation:
                  lambda: graph.ancestors(self.N - 1),
                  lambda: graph.reachable(0, self.N - 1),
                  lambda: subgraph_query(graph, mid),
-                 lambda: deletion_set(graph, [0])]
+                 lambda: deletion_set(graph, [0]),
+                 lambda: sweep(graph),
+                 lambda: sweep(graph, barrier_at=self.N - 1),
+                 lambda: graph.topological_order()]
         for call in calls:
             with cancel.deadline_scope(0.000001):
                 time.sleep(0.002)
@@ -111,12 +128,14 @@ class TestKernelCancellation:
         mid = self.N // 2
         plain = (graph.descendants(0), graph.ancestors(self.N - 1),
                  graph.reachable(0, self.N - 1),
-                 deletion_set(graph, [mid]))
+                 deletion_set(graph, [mid]), sweep(graph),
+                 sweep(graph, barrier_at=mid), graph.topological_order())
         sub_plain = subgraph_query(graph, mid)
         with cancel.deadline_scope(60.0):
             timed = (graph.descendants(0), graph.ancestors(self.N - 1),
                      graph.reachable(0, self.N - 1),
-                     deletion_set(graph, [mid]))
+                     deletion_set(graph, [mid]), sweep(graph),
+                     sweep(graph, barrier_at=mid), graph.topological_order())
             sub_timed = subgraph_query(graph, mid)
         assert plain == timed
         assert sub_plain.ancestors == sub_timed.ancestors
@@ -134,6 +153,20 @@ class TestKernelCancellation:
         # And with room to spare, answers match the graph path.
         with cancel.deadline_scope(60.0):
             assert snapshot.descendants(0) == set(graph.descendants(0))
+
+    def test_multi_source_reach_takes_a_generator_on_every_path(self):
+        """The kernels walk ``starts`` twice (mark, then seed), so a
+        one-shot iterator must give the same answer on the plain, the
+        deadline-checked and the instrumented path."""
+        views = [(1,), (2,), (), ()]
+        assert multi_source_reach(views, iter([0]), 4) == [1, 2]
+        with cancel.deadline_scope(60.0):
+            assert multi_source_reach(views, iter([0]), 4) == [1, 2]
+        obs.enable(reset=True)
+        try:
+            assert multi_source_reach(views, iter([0]), 4) == [1, 2]
+        finally:
+            obs.disable()
 
     def test_short_traversals_finish_under_tiny_budgets(self):
         # Fewer expansions than CHECK_EVERY: the countdown never fires,

@@ -184,7 +184,7 @@ class TestRunsGolden:
                                 "cache_info"}
         assert payload["shards"] is None  # unsharded store
         assert set(payload["cache_info"]) == {"graphs", "processors", "csr",
-                                              "reachability", "frozen"}
+                                              "frozen"}
 
     def test_empty_store_text(self, db, capsys):
         code, out, _err = run_cli(capsys, "runs", "--db", db)

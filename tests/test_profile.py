@@ -1,24 +1,20 @@
 """Unit tests for query profiling: captures, plans, the slow-query
-log, retry span annotation, stats gauges, and the benchmark history.
+log, retry span annotation and stats gauges.
 
 The service/CLI round-trips for ``repro explain`` live in
 ``test_explain.py``; this file covers the :mod:`repro.obs.profile`
-machinery itself plus the PR's observability satellites: the
-``retry.attempts``/``retry.slept_s`` span tags, the cache/shard
-gauges behind ``repro stats --prom``, the shared benchmark report
-schema, and ``repro.benchmark.runner.compare``.
+machinery itself plus the ``retry.attempts``/``retry.slept_s`` span
+tags and the cache/shard gauges behind ``repro stats --prom``.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-import sys
 
 import pytest
 
 from repro import obs
-from repro.benchmark.runner import REGRESSION_METRICS, compare
 from repro.faults.retry import RetryPolicy, retry_call
 from repro.obs import profile
 from repro.obs.profile import (PlanStep, ProfileCapture, QueryPlan,
@@ -228,9 +224,7 @@ class TestServiceProfiling:
     def test_snapshot_and_index_tiers(self, service):
         with profile.capture("subgraph", run_id="run-a") as cap:
             service.snapshot("run-a")
-            service.reachability_index("run-a")
-        tiers = cap.plan.tiers()
-        assert "frozen-snapshot" in tiers and "bitset-index" in tiers
+        assert "frozen-snapshot" in cap.plan.tiers()
 
     def test_uninstrumented_path_untouched(self, service):
         """No capture, no slowlog: queries take the plain path."""
@@ -333,129 +327,3 @@ class TestCacheGauges:
         assert "cache_graphs_size" in out
         assert "store_shard_runs" in out
         assert 'shard="0"' in out and 'shard="1"' in out
-
-
-class TestReportSchema:
-    """Satellite: BENCH_PR2/PR6 meta and the history file share one
-    schema module."""
-
-    @pytest.fixture(autouse=True)
-    def _bench_dir_on_path(self):
-        sys.path.insert(0, "benchmarks")
-        yield
-        sys.path.remove("benchmarks")
-
-    def test_report_meta_fields(self):
-        import report_schema
-        meta = report_schema.report_meta(
-            "BENCH_X", "desc", repeats=3, smoke=True,
-            scales={"cars": 40}, graph_nodes=10)
-        assert meta["report"] == "BENCH_X"
-        assert meta["schema"] == report_schema.SCHEMA_VERSION
-        assert meta["repeats"] == 3 and meta["smoke"] is True
-        assert meta["scales"] == {"cars": 40}
-        assert meta["graph_nodes"] == 10  # extras pass through
-        assert meta["python"] and meta["platform"]
-
-    def test_history_round_trip(self, tmp_path):
-        import report_schema
-        path = tmp_path / "hist.jsonl"
-        entry = report_schema.history_entry(
-            {"fig6_replay_speedup": 4.2}, scales={"cars": 40},
-            repeats=3, smoke=True, seed=11)
-        report_schema.append_history(path, entry)
-        report_schema.append_history(path, entry)
-        back = report_schema.read_history(path)
-        assert len(back) == 2
-        assert back[0]["metrics"] == {"fig6_replay_speedup": 4.2}
-        assert back[0]["seed"] == 11
-
-    def test_read_history_missing_file(self, tmp_path):
-        import report_schema
-        assert report_schema.read_history(tmp_path / "nope.jsonl") == []
-
-    def test_git_sha_prefers_env(self, monkeypatch):
-        import report_schema
-        monkeypatch.setenv("GITHUB_SHA", "abc123")
-        assert report_schema.git_sha() == "abc123"
-
-    def test_harness_reports_share_the_schema(self):
-        """Both report writers import the shared module (no drifted
-        copies of the meta block)."""
-        import pathlib
-        text = pathlib.Path("benchmarks/perf_harness.py").read_text()
-        assert "report_meta" in text and "history_entry" in text
-
-
-class TestCompareHistory:
-    def entry(self, sha, fig6, fig7, scales=None, smoke=True):
-        return {"schema": 1, "git_sha": sha, "smoke": smoke,
-                "scales": scales or {"cars": 40},
-                "metrics": {"fig6_replay_speedup": fig6,
-                            "fig7_read_path_speedup": fig7}}
-
-    def test_ok_within_tolerance(self):
-        report = compare([self.entry("a", 10.0, 5.0),
-                          self.entry("b", 9.0, 5.3)])
-        assert report["status"] == "ok"
-        assert report["baseline_sha"] == "a"
-        assert {check["metric"] for check in report["checks"]} == \
-            set(REGRESSION_METRICS)
-
-    def test_regression_beyond_tolerance(self):
-        report = compare([self.entry("a", 10.0, 5.0),
-                          self.entry("b", 7.0, 5.0)], tolerance=0.2)
-        assert report["status"] == "regression"
-        bad = [check for check in report["checks"]
-               if check["status"] == "regression"]
-        assert bad[0]["metric"] == "fig6_replay_speedup"
-
-    def test_baseline_requires_matching_scales_and_smoke(self):
-        history = [self.entry("full", 1.0, 1.0, scales={"cars": 999},
-                              smoke=False),
-                   self.entry("ci", 10.0, 5.0)]
-        assert compare(history)["status"] == "baseline"
-
-    def test_skips_mismatched_intermediate_entries(self):
-        history = [self.entry("a", 10.0, 5.0),
-                   self.entry("full", 1.0, 1.0, scales={"cars": 999}),
-                   self.entry("b", 9.9, 5.0)]
-        report = compare(history)
-        assert report["status"] == "ok"
-        assert report["baseline_sha"] == "a"
-
-    def test_empty_history(self):
-        assert compare([])["status"] == "empty"
-
-    def test_missing_metric_is_not_a_failure(self):
-        history = [self.entry("a", 10.0, 5.0), self.entry("b", 9.9, 5.0)]
-        del history[1]["metrics"]["fig7_read_path_speedup"]
-        report = compare(history)
-        assert report["status"] == "ok"
-        statuses = {check["metric"]: check["status"]
-                    for check in report["checks"]}
-        assert statuses["fig7_read_path_speedup"] == "missing"
-
-    def test_reads_history_from_path(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        with open(path, "w", encoding="utf-8") as stream:
-            for entry in (self.entry("a", 10.0, 5.0),
-                          self.entry("b", 9.9, 5.1)):
-                stream.write(json.dumps(entry) + "\n")
-        assert compare(path)["status"] == "ok"
-
-    def test_compare_history_cli_exit_codes(self, tmp_path, capsys):
-        from repro.benchmark.runner import main
-        path = tmp_path / "hist.jsonl"
-        with open(path, "w", encoding="utf-8") as stream:
-            for entry in (self.entry("a", 10.0, 5.0),
-                          self.entry("b", 6.0, 5.0)):
-                stream.write(json.dumps(entry) + "\n")
-        code = main(["compare-history", "--history", str(path),
-                     "--tolerance", "0.2", "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1 and payload["status"] == "regression"
-        code = main(["compare-history", "--history", str(path),
-                     "--tolerance", "0.9"])
-        capsys.readouterr()
-        assert code == 0

@@ -10,7 +10,7 @@ from repro.errors import (StoreError, UnknownNodeError, UnknownRunError,
                           ZoomError)
 from repro.graph import GraphBuilder, NodeKind, ProvenanceGraph
 from repro.lipstick import Lipstick, QueryProcessor
-from repro.queries import ReachabilityIndex, subgraph_query
+from repro.queries import subgraph_query
 from repro.queries.subgraph import highest_fanout_nodes
 from repro.store import (
     CSRSnapshot,
@@ -395,13 +395,6 @@ class TestProvenanceService:
         fresh = service.csr("run-a")
         assert fresh is not snapshot
         assert fresh.matches(graph)
-
-    def test_reachability_index_cached(self, service, dealership_execution):
-        graph = dealership_execution[0]
-        index = service.reachability_index("run-a")
-        assert service.reachability_index("run-a") is index
-        node = highest_fanout_nodes(graph, 1)[0]
-        assert index.descendants(node) == graph.descendants(node)
 
     def test_delete_serves_a_copy(self, service):
         before = service.graph("run-a").node_count
